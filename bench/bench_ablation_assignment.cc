@@ -103,6 +103,5 @@ int main() {
       "is marginal versus the conventional fixed-quorum deployment\n"
       "(Section 6.1), and unlike SCM it comes with an error estimate.\n");
   dqm::bench::EmitBenchJson(json);
-  dqm::bench::WriteBenchArtifact("ablation_assignment");
-  return 0;
+  return dqm::bench::WriteBenchArtifact("ablation_assignment") ? 0 : 1;
 }

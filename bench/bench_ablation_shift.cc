@@ -61,6 +61,5 @@ int main() {
       "reading: no single s wins on both workloads — the paper's argument\n"
       "for the parameter-free SWITCH estimator.\n");
   dqm::bench::EmitBenchJson(json);
-  dqm::bench::WriteBenchArtifact("ablation_shift");
-  return 0;
+  return dqm::bench::WriteBenchArtifact("ablation_shift") ? 0 : 1;
 }

@@ -113,6 +113,5 @@ int main() {
       "reading: frozen-switch memory and the species-sum n keep a positive\n"
       "bias on FP-heavy data; the live-only default converges.\n");
   dqm::bench::EmitBenchJson(json);
-  dqm::bench::WriteBenchArtifact("ablation_switch");
-  return 0;
+  return dqm::bench::WriteBenchArtifact("ablation_switch") ? 0 : 1;
 }

@@ -891,10 +891,10 @@ int main(int argc, char** argv) {
 
   std::printf("\n");
   dqm::bench::EmitBenchJson(json);
-  dqm::bench::WriteBenchArtifact("engine_throughput");
+  const bool wrote = dqm::bench::WriteBenchArtifact("engine_throughput");
   if (!all_identical) {
     std::fprintf(stderr, "FAIL: parallel runner diverged from serial replay\n");
     return 1;
   }
-  return 0;
+  return wrote ? 0 : 1;
 }

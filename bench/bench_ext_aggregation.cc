@@ -56,6 +56,5 @@ int main() {
       "workers, but neither is forward-looking — SWITCH still supplies the\n"
       "undiscovered-error tail. The techniques compose, not compete.\n");
   dqm::bench::EmitBenchJson(json);
-  dqm::bench::WriteBenchArtifact("ext_aggregation");
-  return 0;
+  return dqm::bench::WriteBenchArtifact("ext_aggregation") ? 0 : 1;
 }

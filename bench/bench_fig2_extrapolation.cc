@@ -136,6 +136,5 @@ int main() {
   PanelA();
   PanelB(json);
   dqm::bench::EmitBenchJson(json);
-  dqm::bench::WriteBenchArtifact("fig2_extrapolation");
-  return 0;
+  return dqm::bench::WriteBenchArtifact("fig2_extrapolation") ? 0 : 1;
 }

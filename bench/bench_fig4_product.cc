@@ -26,6 +26,5 @@ int main() {
   spec.show_scm = true;
   dqm::bench::RunTotalErrorFigure(spec);
   dqm::bench::RunSwitchPanels(spec);
-  dqm::bench::WriteBenchArtifact("fig4_product");
-  return 0;
+  return dqm::bench::WriteBenchArtifact("fig4_product") ? 0 : 1;
 }

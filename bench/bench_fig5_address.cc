@@ -25,6 +25,5 @@ int main() {
   spec.show_scm = true;
   dqm::bench::RunTotalErrorFigure(spec);
   dqm::bench::RunSwitchPanels(spec);
-  dqm::bench::WriteBenchArtifact("fig5_address");
-  return 0;
+  return dqm::bench::WriteBenchArtifact("fig5_address") ? 0 : 1;
 }

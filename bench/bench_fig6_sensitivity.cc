@@ -122,6 +122,5 @@ int main() {
     std::fputs(chart.Render(72, 14).c_str(), stdout);
   }
   dqm::bench::EmitBenchJson(json);
-  dqm::bench::WriteBenchArtifact("fig6_sensitivity");
-  return 0;
+  return dqm::bench::WriteBenchArtifact("fig6_sensitivity") ? 0 : 1;
 }

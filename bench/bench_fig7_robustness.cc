@@ -35,6 +35,5 @@ int main() {
     };
     dqm::bench::RunTotalErrorFigure(spec);
   }
-  dqm::bench::WriteBenchArtifact("fig7_robustness");
-  return 0;
+  return dqm::bench::WriteBenchArtifact("fig7_robustness") ? 0 : 1;
 }

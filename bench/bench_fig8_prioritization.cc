@@ -80,6 +80,5 @@ int main() {
       "shape check: with an accurate heuristic, small epsilon suffices; "
       "with an inaccurate one, epsilon=0 hides half the errors.\n");
   dqm::bench::EmitBenchJson(json);
-  dqm::bench::WriteBenchArtifact("fig8_prioritization");
-  return 0;
+  return dqm::bench::WriteBenchArtifact("fig8_prioritization") ? 0 : 1;
 }

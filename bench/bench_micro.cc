@@ -136,6 +136,5 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  dqm::bench::WriteBenchArtifact("micro");
-  return 0;
+  return dqm::bench::WriteBenchArtifact("micro") ? 0 : 1;
 }

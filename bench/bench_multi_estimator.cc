@@ -156,6 +156,5 @@ int main(int argc, char** argv) {
                   {"estimators", static_cast<double>(kPanel.size())},
                   {"speedup", speedup}});
   dqm::bench::EmitBenchJson(json);
-  dqm::bench::WriteBenchArtifact("multi_estimator");
-  return 0;
+  return dqm::bench::WriteBenchArtifact("multi_estimator") ? 0 : 1;
 }

@@ -62,6 +62,5 @@ int main() {
       "The false positives inflate both c and f1 (the singleton-error\n"
       "entanglement, Section 3.2.2), driving Chao92 far above the truth.\n");
   dqm::bench::EmitBenchJson(json);
-  dqm::bench::WriteBenchArtifact("sec32_examples");
-  return 0;
+  return dqm::bench::WriteBenchArtifact("sec32_examples") ? 0 : 1;
 }

@@ -154,6 +154,5 @@ int main(int argc, char** argv) {
                               {"off_votes_per_sec", best_off},
                               {"on_off_ratio", ratio}});
   dqm::bench::EmitBenchJson(json);
-  dqm::bench::WriteBenchArtifact("telemetry_overhead");
-  return 0;
+  return dqm::bench::WriteBenchArtifact("telemetry_overhead") ? 0 : 1;
 }

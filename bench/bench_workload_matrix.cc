@@ -172,6 +172,5 @@ int main(int argc, char** argv) {
                 abs_error_sums[e] / static_cast<double>(workload_specs.size()));
   }
   dqm::bench::EmitBenchJson(json);
-  dqm::bench::WriteBenchArtifact("workload_matrix");
-  return 0;
+  return dqm::bench::WriteBenchArtifact("workload_matrix") ? 0 : 1;
 }

@@ -91,8 +91,9 @@ void EmitBenchJson(const BenchJsonWriter& json);
 ///
 /// to BENCH_<bench_name>.json in $DQM_BENCH_JSON_DIR (default: the current
 /// directory). Call once at the end of main. Returns false — after printing
-/// a warning to stderr — when the file cannot be written; benches treat
-/// that as non-fatal so read-only environments still get stdout output.
+/// a warning to stderr — when the file cannot be written; benches then exit
+/// non-zero (their stdout results are already printed), so a missing
+/// artifact directory fails the run instead of passing without one.
 bool WriteBenchArtifact(std::string_view bench_name);
 
 }  // namespace dqm::bench

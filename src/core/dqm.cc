@@ -153,6 +153,45 @@ crowd::ResponseLog::IngestPause DataQualityMetric::ReconcileForEstimates() {
   return pause;
 }
 
+Status DataQualityMetric::RestoreCheckpoint(
+    const crowd::CheckpointData& data) {
+  if (!observing_.empty()) {
+    return Status::FailedPrecondition(StrFormat(
+        "estimator '%s' consumes votes in arrival order, which a checkpoint "
+        "does not hold; replay the votes instead",
+        std::string(observing_.front()->name()).c_str()));
+  }
+  crowd::ResponseLog& log = state_->log;
+  if (log.retention() != crowd::RetentionPolicy::kCounts) {
+    return Status::FailedPrecondition(
+        "checkpoints restore kCounts state; this pipeline retains full "
+        "events");
+  }
+  if (data.num_items != log.num_items()) {
+    return Status::InvalidArgument(StrFormat(
+        "checkpoint snapshots %llu items but the pipeline has %zu",
+        static_cast<unsigned long long>(data.num_items), log.num_items()));
+  }
+  if (data.num_events == 0) return Status::OK();
+  if (log.num_events() != 0) {
+    return Status::FailedPrecondition(StrFormat(
+        "checkpoint restore needs an empty pipeline; this one holds %llu "
+        "votes",
+        static_cast<unsigned long long>(log.num_events())));
+  }
+  if (data.variant == crowd::CheckpointData::Variant::kTallies &&
+      log.maintains_pair_counts()) {
+    return Status::FailedPrecondition(
+        "a tally-only checkpoint cannot rebuild the per-(worker, item) "
+        "counts this pipeline keeps");
+  }
+  log.RestoreCheckpoint(data);
+  if (state_->maintain_positive_f) {
+    state_->positive_f.RebuildFromCounts(log.positive_counts());
+  }
+  return Status::OK();
+}
+
 void DataQualityMetric::AddVote(uint32_t task, uint32_t worker, uint32_t item,
                                 bool is_dirty) {
   crowd::VoteEvent event{task, worker, item,

@@ -10,6 +10,7 @@
 
 #include "common/result.h"
 #include "crowd/response_log.h"
+#include "crowd/wal.h"
 #include "estimators/estimator.h"
 #include "estimators/registry.h"
 #include "estimators/switch_total.h"
@@ -141,6 +142,20 @@ class DataQualityMetric {
   [[nodiscard]] crowd::ResponseLog::IngestPause ReconcileForEstimates();
 
   bool concurrent_ingest() const { return state_->log.concurrent_ingest(); }
+
+  /// Rebuilds this pipeline's state from a checkpoint (crowd/wal.h) in
+  /// O(#pairs + #items) instead of replaying one vote per counted vote: the
+  /// log's columns, tallies and bounds are restored directly and the shared
+  /// positive-vote fingerprint is re-derived from the restored tallies.
+  /// The result is the state a serialized feed of the checkpointed votes
+  /// would leave. An empty checkpoint is a no-op. Call on a freshly built
+  /// pipeline with no committer running. FailedPrecondition when the panel
+  /// has an order-sensitive (observing) estimator such as SWITCH — a
+  /// checkpoint holds no arrival order for it — when the log retains full
+  /// events, when the pipeline already holds votes, or when a tally-only
+  /// checkpoint meets a log that keeps pair counts; InvalidArgument when
+  /// the checkpoint snapshots a different item universe.
+  Status RestoreCheckpoint(const crowd::CheckpointData& data);
 
   /// Estimated total number of dirty items |R_dirty| under the primary
   /// estimator.

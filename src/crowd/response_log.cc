@@ -6,6 +6,7 @@
 
 #include "common/logging.h"
 #include "common/string_util.h"
+#include "crowd/wal.h"
 #include "telemetry/metric_names.h"
 
 namespace dqm::crowd {
@@ -39,6 +40,13 @@ void CompactedVoteStore::Add(uint32_t worker, uint32_t item, Vote vote) {
   } else {
     ++clean_[slot];
   }
+}
+
+void CompactedVoteStore::AddCounts(uint32_t worker, uint32_t item,
+                                   uint32_t dirty, uint32_t clean) {
+  size_t slot = FindOrInsertSlot(worker, item);
+  dirty_[slot] += dirty;
+  clean_[slot] += clean;
 }
 
 void CompactedVoteStore::Clear() {
@@ -204,6 +212,84 @@ void ResponseLog::Append(const VoteEvent& event) {
   }
 }
 
+void ResponseLog::RestoreCheckpoint(const CheckpointData& data) {
+  // invariant: DataQualityMetric::RestoreCheckpoint vets retention and the
+  // item universe before handing a checkpoint to the log.
+  DQM_CHECK(retention_ == RetentionPolicy::kCounts)
+      << "checkpoint restore requires kCounts retention";
+  DQM_CHECK_EQ(data.num_items, positive_.size())
+      << "checkpoint snapshots a different item universe";
+  const bool pairs = data.variant == CheckpointData::Variant::kPairs;
+  // invariant: a tally checkpoint has no (worker, item) pairs to rebuild a
+  // pair-count store from; the pipeline refuses that pairing up front.
+  DQM_CHECK(pairs || !maintains_pair_counts())
+      << "a tally checkpoint cannot restore a log that keeps pair counts";
+  // Committers are not running (caller contract); the stripe locks make the
+  // per-stripe writes below visible to the next committer all the same.
+  if (concurrent_ != nullptr) LockAllStripes();
+  // invariant: restore rebuilds a freshly built pipeline; merging a
+  // checkpoint into live state would double-count votes.
+  DQM_CHECK(std::all_of(total_.begin(), total_.end(),
+                        [](uint32_t votes) { return votes == 0; }))
+      << "checkpoint restore needs an empty log";
+  const bool striped = concurrent_ != nullptr;
+  const uint32_t shift = striped ? concurrent_->stripe_shift : 0;
+  if (pairs) {
+    const bool keep_pairs = maintains_pair_counts();
+    for (size_t slot = 0; slot < data.workers.size(); ++slot) {
+      const uint32_t item = data.items[slot];
+      // invariant: DecodeCheckpoint bounds every slot's item id.
+      DQM_CHECK_LT(item, positive_.size()) << "item id out of range";
+      positive_[item] += data.dirty[slot];
+      total_[item] += data.dirty[slot] + data.clean[slot];
+      if (!keep_pairs) continue;
+      CompactedVoteStore& store =
+          striped ? concurrent_->stripes[item >> shift].counts : compacted_;
+      store.AddCounts(data.workers[slot], item, data.dirty[slot],
+                      data.clean[slot]);
+    }
+  } else {
+    // invariant: DecodeCheckpoint / CheckpointFromLog size tally columns to
+    // the item universe.
+    DQM_CHECK(data.positive.size() == positive_.size() &&
+              data.total.size() == total_.size())
+        << "tally columns do not span the item universe";
+    std::copy(data.positive.begin(), data.positive.end(), positive_.begin());
+    std::copy(data.total.begin(), data.total.end(), total_.begin());
+  }
+  if (striped) {
+    // Seed each stripe's counters from its item range of the tally
+    // columns, then let the ordinary reconcile fold derive the aggregates.
+    // Bounds fold by max, so one stripe carrying them is enough.
+    const size_t chunk = size_t{1} << shift;
+    for (size_t s = 0; s < concurrent_->num_stripes; ++s) {
+      Stripe& stripe = concurrent_->stripes[s];
+      const size_t begin = std::min(s * chunk, total_.size());
+      const size_t end = std::min(begin + chunk, total_.size());
+      for (size_t item = begin; item < end; ++item) {
+        stripe.num_events += total_[item];
+        stripe.total_positive += positive_[item];
+      }
+    }
+    concurrent_->stripes[0].task_bound = data.num_tasks;
+    concurrent_->stripes[0].worker_bound = data.num_workers;
+    ReconcileLocked();
+    UnlockAllStripes();
+  } else {
+    TallyScanResult scan = ScanTallies(positive_, total_);
+    num_events_ = scan.total_votes;
+    total_positive_ = scan.positive_votes;
+    nominal_count_ = static_cast<size_t>(scan.nominal_count);
+    majority_count_ = static_cast<size_t>(scan.majority_count);
+    num_tasks_ = data.num_tasks;
+    num_workers_ = data.num_workers;
+  }
+  // invariant: DecodeCheckpoint / CheckpointFromLog keep num_events equal
+  // to the column sums.
+  DQM_CHECK_EQ(num_events_, data.num_events)
+      << "checkpoint columns disagree with its vote count";
+}
+
 void ResponseLog::EnableConcurrentIngest(size_t num_stripes,
                                          bool maintain_pair_counts) {
   // invariant: striping is a construction-time wiring decision.
@@ -319,7 +405,7 @@ void ResponseLog::AppendConcurrent(std::span<const VoteEvent> events) {
     }
     // Hold-time sampling: 1 in 64 acquisitions, so the steady-state commit
     // pays no clock reads for it.
-    const bool sample_hold = timed && (stripe.lock_acquisitions & 63) == 0;
+    const bool sample_hold = timed && (++stripe.hold_sample_tick & 63) == 0;
     const uint64_t hold_start = sample_hold ? telemetry::NowNanos() : 0;
     for (uint32_t b = bucket_ends[s]; b < bucket_ends[s + 1]; ++b) {
       const VoteEvent& event = events[bucketed[b]];
@@ -338,10 +424,7 @@ void ResponseLog::AppendConcurrent(std::span<const VoteEvent> events) {
                                      static_cast<uint64_t>(event.worker) + 1);
       if (pair_counts) stripe.counts.Add(event.worker, event.item, event.vote);
     }
-    if (sample_hold) {
-      stripe.lock_hold_ns += telemetry::NowNanos() - hold_start;
-      ++stripe.lock_hold_samples;
-    }
+    if (sample_hold) stripe.lock_hold_ns += telemetry::NowNanos() - hold_start;
   }
 }
 
@@ -421,7 +504,6 @@ void ResponseLog::ReconcileLocked() {
     stripe.lock_contended = 0;
     stripe.lock_wait_ns = 0;
     stripe.lock_hold_ns = 0;
-    stripe.lock_hold_samples = 0;
   }
   // Stripe imbalance: hottest stripe's share of a perfectly even spread
   // (1.0 = balanced, num_stripes = everything on one stripe). Last striped

@@ -15,6 +15,8 @@
 
 namespace dqm::crowd {
 
+struct CheckpointData;  // crowd/wal.h
+
 /// Compacted columnar realization of the paper's response matrix `I`:
 /// per-(worker, item) dirty/clean vote counts in flat parallel arrays, with
 /// an open-addressed (worker, item) -> slot index so appending a vote is
@@ -34,6 +36,13 @@ class CompactedVoteStore {
   /// Folds one vote into its (worker, item) slot, creating it on first
   /// contact.
   void Add(uint32_t worker, uint32_t item, Vote vote);
+
+  /// Folds `dirty` dirty and `clean` clean votes into the (worker, item)
+  /// slot at once, creating it on first contact — the restore form of Add:
+  /// one call per checkpoint slot, not one per counted vote. Feeding a
+  /// store's slots back in slot order rebuilds it slot for slot.
+  void AddCounts(uint32_t worker, uint32_t item, uint32_t dirty,
+                 uint32_t clean);
 
   /// Forgets all pairs but keeps the allocated capacity — for reuse as fit
   /// scratch without reallocating.
@@ -189,6 +198,21 @@ class ResponseLog {
   /// Total votes across items.
   uint64_t total_votes_all() const { return num_events_; }
 
+  /// Rebuilds this log from a checkpoint (crowd/wal.h) in O(#pairs +
+  /// #items): the inverse of CheckpointFromLog, without re-ingesting one
+  /// vote per counted vote. A kPairs checkpoint refills the compacted
+  /// store — on a striped log each slot goes to its item's stripe shard in
+  /// checkpoint order, so every shard is rebuilt slot for slot — and both
+  /// variants set the tally columns, the derived NOMINAL/VOTING counts
+  /// (ScanTallies) and the task/worker bounds. The log must be an empty
+  /// kCounts log with no committer running, of the checkpoint's item
+  /// universe; a kTallies checkpoint additionally needs a log that keeps
+  /// no pair counts. Aborts (DQM_CHECK) otherwise — the pipeline-level
+  /// DataQualityMetric::RestoreCheckpoint turns the reachable cases into
+  /// Status errors first.
+  void RestoreCheckpoint(const CheckpointData& data)
+      DQM_NO_THREAD_SAFETY_ANALYSIS;
+
   /// Majority label of `item`: dirty iff n_i^+ > n_i / 2 (strictly more
   /// dirty than clean votes; ties and unseen items default to clean, the
   /// paper's default label).
@@ -300,7 +324,11 @@ class ResponseLog {
     uint64_t lock_wait_ns DQM_GUARDED_BY(mutex) = 0;
     /// held time, sampled 1 in 64
     uint64_t lock_hold_ns DQM_GUARDED_BY(mutex) = 0;
-    uint64_t lock_hold_samples DQM_GUARDED_BY(mutex) = 0;
+    /// Acquisitions since EnableConcurrentIngest; picks the sampled 1 in 64.
+    /// Never reset: a reconcile zeroes lock_acquisitions, and a publish
+    /// cadence shorter than 64 acquisitions per stripe would then never
+    /// reach a sample.
+    uint64_t hold_sample_tick DQM_GUARDED_BY(mutex) = 0;
   };
   /// Per-stripe registry counters (created once at EnableConcurrentIngest,
   /// labeled stripe="<index>") the plain Stripe stats fold into.

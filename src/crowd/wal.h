@@ -263,10 +263,13 @@ Result<WalSegment> DecodeWalSegment(std::span<const uint8_t> bytes,
 // first-arrival slot order (kPairs — serialized kCounts logs and striped
 // logs that maintain pair counts, shards concatenated in stripe order), or
 // the per-item tally columns (kTallies — striped tally-only panels, which
-// by construction have no matrix consumer). Restoring is a synthetic
-// replay: EmitCheckpointVotes re-emits the counts as a vote stream in slot
-// order, which rebuilds a bit-identical store through the ordinary ingest
-// path — no deserialization backdoor into the log's internals.
+// by construction have no matrix consumer). Restoring writes the columns
+// straight back into an empty log (ResponseLog::RestoreCheckpoint, reached
+// through core::DataQualityMetric::RestoreCheckpoint) in O(#pairs +
+// #items): slots are re-added in checkpoint order, so every store and
+// stripe shard is rebuilt slot for slot, and the tallies, NOMINAL/VOTING
+// counts and task/worker bounds come back bit-identical. Nothing is
+// re-ingested vote by vote.
 // ---------------------------------------------------------------------------
 struct CheckpointData {
   enum class Variant : uint8_t {
@@ -320,15 +323,6 @@ Result<CheckpointData> ReadCheckpointFile(const std::string& path);
 /// names the source for error messages.
 Result<CheckpointData> DecodeCheckpoint(std::span<const uint8_t> bytes,
                                         const std::string& context);
-
-/// Re-emits the checkpoint's state as a synthetic vote stream, in slot
-/// (kPairs) or item (kTallies) order, batched through `apply`. Feeding the
-/// stream to an empty pipeline rebuilds tallies, pair counts, and
-/// task/worker bounds bit-identically (see CompactedVoteStore's
-/// first-arrival slot-order guarantee).
-Status EmitCheckpointVotes(
-    const CheckpointData& data,
-    const std::function<Status(std::span<const VoteEvent>)>& apply);
 
 }  // namespace dqm::crowd
 

@@ -705,6 +705,8 @@ Status SessionDurability::CommitCheckpoint(
 
 Result<SessionDurability::RecoveryStats> SessionDurability::Recover(
     size_t num_items,
+    const std::function<Status(const crowd::CheckpointData&)>&
+        restore_checkpoint,
     const std::function<Status(std::span<const crowd::VoteEvent>)>& restore) {
   DurabilityMetrics& tm = Metrics();
   MutexLock lock(wal_mutex_);
@@ -721,7 +723,7 @@ Result<SessionDurability::RecoveryStats> SessionDurability::Recover(
           cp.c_str(), static_cast<unsigned long long>(data.num_items),
           num_items));
     }
-    DQM_RETURN_NOT_OK(crowd::EmitCheckpointVotes(data, restore));
+    DQM_RETURN_NOT_OK(restore_checkpoint(data));
     stats.had_checkpoint = true;
     stats.checkpoint_votes = data.num_events;
     checkpoint_generation = data.wal_generation;

@@ -218,7 +218,8 @@ class SessionDurability {
           build) DQM_EXCLUDES(wal_mutex_);
 
   struct RecoveryStats {
-    /// Votes re-emitted from the checkpoint snapshot.
+    /// Votes the checkpoint snapshot holds (its num_events), restored as
+    /// columns in one call — not re-emitted vote by vote.
     uint64_t checkpoint_votes = 0;
     /// Votes replayed from the WAL tail.
     uint64_t replayed_votes = 0;
@@ -226,12 +227,16 @@ class SessionDurability {
     bool had_checkpoint = false;
   };
 
-  /// Full recovery: loads the latest checkpoint (if any) and replays the
-  /// WAL tail through `restore`, healing the checkpoint/WAL generation
-  /// seam and truncating a torn tail. Call once, before the first
-  /// AppendBatch, with the session not yet serving.
+  /// Full recovery: loads the latest checkpoint (if any) and hands it to
+  /// `restore_checkpoint` whole (O(#pairs + #items) for the engine's
+  /// direct restore), then replays the WAL tail through `restore`, healing
+  /// the checkpoint/WAL generation seam and truncating a torn tail. Total
+  /// cost: the checkpoint's size plus the tail's votes. Call once, before
+  /// the first AppendBatch, with the session not yet serving.
   Result<RecoveryStats> Recover(
       size_t num_items,
+      const std::function<Status(const crowd::CheckpointData&)>&
+          restore_checkpoint,
       const std::function<Status(std::span<const crowd::VoteEvent>)>& restore)
       DQM_EXCLUDES(wal_mutex_);
 

@@ -387,20 +387,10 @@ Status DqmEngine::MigrateSession(const std::string& name, DqmEngine& target,
       std::shared_ptr<EstimationSession> moved,
       target.OpenSession(name, session->num_items(), session->specs(),
                          options));
-  // The synthetic replay rebuilds tallies and pair counts bit-identically
-  // through the target's ordinary ingest path (and write-ahead logs them
-  // when the target is durable).
-  Status restored = crowd::EmitCheckpointVotes(
-      state, [&moved](std::span<const crowd::VoteEvent> votes) {
-        return moved->AddVotes(votes);
-      });
-  if (restored.ok() && moved->committed_votes() != state.num_events) {
-    restored = Status::Internal(StrFormat(
-        "migration of '%s' restored %llu votes but the source exported %llu",
-        name.c_str(),
-        static_cast<unsigned long long>(moved->committed_votes()),
-        static_cast<unsigned long long>(state.num_events)));
-  }
+  // Direct restore: tallies and pair counts come back bit-identical in
+  // O(#pairs + #items); a durable target commits them as one checkpoint at
+  // its new home.
+  Status restored = moved->RestoreState(state);
   if (!restored.ok()) {
     // Roll back the half-built target; the source keeps serving.
     Status closed = target.CloseSession(name);

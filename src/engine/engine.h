@@ -197,14 +197,16 @@ class DqmEngine {
   /// WAL, exports its compacted state (quiescing ingest for the cut),
   /// rebuilds an identical session on `target` (same specs and serving
   /// options; `target_durability_root` gives the target its own durable
-  /// home, "" = in-memory), verifies the restored vote count, publishes,
-  /// and closes the source registration. The caller must stop routing
-  /// traffic to the source before migrating — votes ingested after the
-  /// export cut would stay behind. FailedPrecondition for panels whose
-  /// state cannot be rebuilt from compacted counts (SWITCH / full-event
-  /// retention) and for sessions opened without spec strings; on any
-  /// failure the source stays registered and serving, and a half-built
-  /// target session is closed.
+  /// home, "" = in-memory) by a direct restore of the exported columns —
+  /// O(#pairs + #items), not one re-ingested vote per counted vote; a
+  /// durable target commits the restored state as one checkpoint —
+  /// publishes once, and closes the source registration. The caller must
+  /// stop routing traffic to the source before migrating — votes ingested
+  /// after the export cut would stay behind. FailedPrecondition for panels
+  /// whose state cannot be rebuilt from compacted counts (SWITCH /
+  /// full-event retention) and for sessions opened without spec strings;
+  /// on any failure the source stays registered and serving, and a
+  /// half-built target session is closed.
   Status MigrateSession(const std::string& name, DqmEngine& target,
                         const std::string& target_durability_root = "");
 

@@ -199,7 +199,14 @@ Result<std::vector<std::string>> LocalDirTransport::List() {
 }
 
 Result<std::vector<uint8_t>> LocalDirTransport::Get(const std::string& name) {
-  return ReadFileBytes(dir_ + "/" + name);
+  const std::string path = dir_ + "/" + name;
+  Result<std::vector<uint8_t>> bytes = ReadFileBytes(path);
+  std::error_code ec;
+  if (!bytes.ok() && !fs::exists(path, ec) && !ec) {
+    return Status::NotFound(StrFormat("artifact '%s' is not in '%s'",
+                                      name.c_str(), dir_.c_str()));
+  }
+  return bytes;
 }
 
 Status LocalDirTransport::Delete(const std::string& name) {
@@ -570,18 +577,7 @@ Status StandbyApplier::ResyncFromCheckpoint(uint64_t generation,
     DQM_ASSIGN_OR_RETURN(
         crowd::CheckpointData data,
         crowd::DecodeCheckpoint(ckpt, CheckpointArtifactName(generation)));
-    DQM_RETURN_NOT_OK(crowd::EmitCheckpointVotes(
-        data, [this](std::span<const crowd::VoteEvent> votes) {
-          return session_->AddVotes(votes);
-        }));
-    if (session_->committed_votes() != data.num_events) {
-      return Status::Internal(StrFormat(
-          "checkpoint restore on standby '%s' committed %llu votes, "
-          "checkpoint says %llu",
-          manifest_.name.c_str(),
-          static_cast<unsigned long long>(session_->committed_votes()),
-          static_cast<unsigned long long>(data.num_events)));
-    }
+    DQM_RETURN_NOT_OK(session_->RestoreState(data));
     applied_votes_ = data.num_events;
     generation = data.wal_generation;
   }
@@ -678,6 +674,27 @@ Status StandbyApplier::Poll() {
         "standby '%s' was promoted — it is a primary now, stop polling",
         manifest_.name.c_str()));
   }
+  const uint64_t votes_before = applied_votes_;
+  // The primary garbage-collects older generations the moment a newer
+  // checkpoint ships, so an artifact this poll listed can vanish before
+  // Get reads it. That is a stale listing, not a failure: list once more
+  // and continue from the new listing (which holds the newer checkpoint).
+  Status status = ApplyListing();
+  if (status.code() == StatusCode::kNotFound) status = ApplyListing();
+  max_cum_votes_seen_ = std::max(max_cum_votes_seen_, applied_votes_);
+  telemetry::MetricsRegistry::Global()
+      .AcquireGauge(telemetry::metric_names::kReplicaLagVotes,
+                    {{"session", manifest_.name}})
+      ->Set(static_cast<double>(max_cum_votes_seen_ - applied_votes_));
+  telemetry::MetricsRegistry::Global().ReleaseGauge(
+      telemetry::metric_names::kReplicaLagVotes, {{"session", manifest_.name}});
+  if (applied_votes_ != votes_before && session_ != nullptr) {
+    session_->Publish();
+  }
+  return status;
+}
+
+Status StandbyApplier::ApplyListing() {
   DQM_ASSIGN_OR_RETURN(std::vector<std::string> names, transport_->List());
   uint64_t best_ckpt = 0;
   struct SegmentRef {
@@ -715,7 +732,6 @@ Status StandbyApplier::Poll() {
               return a.generation != b.generation ? a.generation < b.generation
                                                   : a.seq < b.seq;
             });
-  uint64_t votes_before = applied_votes_;
   for (const SegmentRef& ref : segments) {
     if (divergent_) break;
     if (ref.generation < applied_generation_) continue;  // pre-GC leftovers
@@ -745,14 +761,6 @@ Status StandbyApplier::Poll() {
         std::max(max_cum_votes_seen_, segment.value().cum_votes);
     DQM_RETURN_NOT_OK(ApplySegment(segment.value()));
   }
-  max_cum_votes_seen_ = std::max(max_cum_votes_seen_, applied_votes_);
-  telemetry::MetricsRegistry::Global()
-      .AcquireGauge(telemetry::metric_names::kReplicaLagVotes,
-                    {{"session", manifest_.name}})
-      ->Set(static_cast<double>(max_cum_votes_seen_ - applied_votes_));
-  telemetry::MetricsRegistry::Global().ReleaseGauge(
-      telemetry::metric_names::kReplicaLagVotes, {{"session", manifest_.name}});
-  if (applied_votes_ != votes_before) session_->Publish();
   return Status::OK();
 }
 

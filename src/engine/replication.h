@@ -88,6 +88,8 @@ class ReplicationTransport {
                      uint64_t fencing_token) = 0;
   /// Artifact names (FENCE excluded), sorted.
   virtual Result<std::vector<std::string>> List() = 0;
+  /// NotFound when no artifact of that name exists (e.g. it was listed,
+  /// then garbage-collected before this read).
   virtual Result<std::vector<uint8_t>> Get(const std::string& name) = 0;
   virtual Status Delete(const std::string& name) = 0;
   virtual Status RaiseFence(uint64_t token) = 0;
@@ -258,7 +260,10 @@ class StandbyApplier {
   /// Applies everything currently shipped. Divergence (gap, overlap, CRC or
   /// metadata mismatch, torn frame) is not an error: it is counted, the
   /// offending segment is left unapplied, and the applier waits for a
-  /// fresh checkpoint to resync from. FailedPrecondition after Promote().
+  /// fresh checkpoint to resync from. An artifact garbage-collected between
+  /// the listing and its read is not an error either: Poll lists once more
+  /// and continues from there, failing only if that pass fails too.
+  /// FailedPrecondition after Promote().
   Status Poll();
 
   struct PromotionReport {
@@ -295,6 +300,12 @@ class StandbyApplier {
   /// (empty `ckpt` = from scratch at generation `generation`).
   Status ResyncFromCheckpoint(uint64_t generation,
                               std::span<const uint8_t> ckpt);
+
+  /// One pass of Poll over a single transport listing: resync from a newer
+  /// checkpoint if needed, then apply pending segments. NotFound when a
+  /// listed artifact vanished before it was read (garbage-collected by the
+  /// primary), which Poll answers with one fresh listing.
+  Status ApplyListing();
 
   /// Validates and applies one decoded segment; flags divergence and
   /// returns without applying anything on any mismatch.

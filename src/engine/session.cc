@@ -435,7 +435,7 @@ Status EstimationSession::AddVotes(std::span<const crowd::VoteEvent> votes) {
   if (checkpointable_) {
     const uint64_t n =
         std::max<uint64_t>(options_.checkpoint_every_votes, 1);
-    if ((after - votes.size()) / n != after / n) CheckpointLocked();
+    if ((after - votes.size()) / n != after / n) (void)CheckpointLocked();
   }
   return Status::OK();
 }
@@ -444,10 +444,10 @@ void EstimationSession::MaybeCheckpoint(uint64_t after, uint64_t batch) {
   const uint64_t n = std::max<uint64_t>(options_.checkpoint_every_votes, 1);
   if ((after - batch) / n == after / n) return;
   MutexLock lock(mutex_);
-  CheckpointLocked();
+  (void)CheckpointLocked();
 }
 
-void EstimationSession::CheckpointLocked() {
+Status EstimationSession::CheckpointLocked() {
   Status status = durability_->CommitCheckpoint(
       [this](uint64_t generation) -> Result<crowd::CheckpointData> {
         // Cut the snapshot with committers paused: the WAL quiesce already
@@ -466,6 +466,7 @@ void EstimationSession::CheckpointLocked() {
     DQM_LOG(Error) << "session '" << name_
                    << "': checkpoint failed: " << status.message();
   }
+  return status;
 }
 
 void EstimationSession::Publish() {
@@ -558,6 +559,12 @@ EstimationSession::RecoverFromDurability() {
     // exclusion the serialized commit path has. The striped branch only
     // takes per-stripe locks (rank 300), still ascending.
     MutexLock lock(mutex_);
+    auto restore_checkpoint =
+        [this](const crowd::CheckpointData& data) -> Status {
+      DQM_RETURN_NOT_OK(metric_.RestoreCheckpoint(data));
+      committed_votes_.fetch_add(data.num_events, std::memory_order_relaxed);
+      return Status::OK();
+    };
     auto restore =
         [this](std::span<const crowd::VoteEvent> votes) -> Status {
       if (striped_) {
@@ -572,7 +579,7 @@ EstimationSession::RecoverFromDurability() {
       return Status::OK();
     };
     Result<SessionDurability::RecoveryStats> recovered =
-        durability_->Recover(num_items_, restore);
+        durability_->Recover(num_items_, restore_checkpoint, restore);
     if (!recovered.ok()) return recovered.status();
     stats = *recovered;
   }
@@ -600,6 +607,24 @@ Result<crowd::CheckpointData> EstimationSession::ExportState() {
   MutexLock lock(mutex_);
   crowd::ResponseLog::IngestPause pause = metric_.ReconcileForEstimates();
   return crowd::CheckpointFromLog(metric_.log(), /*wal_generation=*/1);
+}
+
+Status EstimationSession::RestoreState(const crowd::CheckpointData& data) {
+  if (data.num_events == 0) return Status::OK();
+  MutexLock lock(mutex_);
+  if (committed_votes() != 0) {
+    return Status::FailedPrecondition(StrFormat(
+        "session '%s' already holds %llu votes; restore needs an empty "
+        "session",
+        name_.c_str(), static_cast<unsigned long long>(committed_votes())));
+  }
+  DQM_RETURN_NOT_OK(metric_.RestoreCheckpoint(data));
+  committed_votes_.store(data.num_events, std::memory_order_relaxed);
+  if (durability_ == nullptr) return Status::OK();
+  // The restored state exists nowhere at this session's durable home yet.
+  // One checkpoint puts it there, at the cost of the columns rather than
+  // of a WAL record per restored vote.
+  return CheckpointLocked();
 }
 
 size_t EstimationSession::RetainedBytes() const {

@@ -163,8 +163,8 @@ struct SessionOptions {
   /// crosses a multiple of this, truncating the WAL (0 = never checkpoint;
   /// recovery replays the whole WAL). Only takes effect for panels on the
   /// concurrent-capable kCounts path; order-sensitive panels (SWITCH) get
-  /// WAL-only durability — a checkpoint's synthetic replay cannot
-  /// reproduce arrival order, which those estimators consume.
+  /// WAL-only durability — a checkpoint holds counts, not the arrival
+  /// order those estimators consume.
   uint64_t checkpoint_every_votes = 0;
   /// What the session does when its WAL seals after an I/O failure:
   /// fail_stop (reject batches until a checkpoint reset — the default) or
@@ -324,11 +324,23 @@ class EstimationSession {
 
   /// Snapshots this session's full compacted state as checkpoint data
   /// (generation 1), quiescing ingest for the duration — the source half of
-  /// a migration: EmitCheckpointVotes over the result rebuilds tallies and
-  /// pair counts bit-identically through a fresh session's ingest path.
+  /// a migration; RestoreState on a fresh session is the other half.
   /// FailedPrecondition for panels outside the snapshot-restorable kCounts
   /// state (SWITCH / full-event retention), which cannot move this way.
   Result<crowd::CheckpointData> ExportState() DQM_EXCLUDES(mutex_);
+
+  /// Rebuilds this freshly opened session from checkpoint data in
+  /// O(#pairs + #items) (core::DataQualityMetric::RestoreCheckpoint) and
+  /// counts its votes as committed. A durable session then commits the
+  /// restored state as one checkpoint at its own durable home instead of
+  /// write-ahead logging it vote by vote, so a later recovery from that
+  /// home alone sees it. Does not publish: callers publish once when the
+  /// rebuild is complete. A checkpoint of zero votes is a no-op.
+  /// FailedPrecondition when the session already holds votes or its panel
+  /// cannot be restored from counts (SWITCH); a failed durable checkpoint
+  /// commit is returned as is.
+  Status RestoreState(const crowd::CheckpointData& data)
+      DQM_EXCLUDES(mutex_);
 
   /// What RecoverFromDurability rebuilt (surfaced per session by
   /// DqmEngine::RecoverSessions).
@@ -371,8 +383,8 @@ class EstimationSession {
 
   /// The checkpoint commit itself: quiesces the WAL, cuts the snapshot
   /// (reconcile pause + CheckpointFromLog), rename-commits, resets the WAL.
-  /// Failures are logged (see MaybeCheckpoint).
-  void CheckpointLocked() DQM_REQUIRES(mutex_);
+  /// Failures are logged (see MaybeCheckpoint) and returned.
+  Status CheckpointLocked() DQM_REQUIRES(mutex_);
 
   const std::string name_;
   const size_t num_items_;

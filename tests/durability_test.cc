@@ -295,7 +295,7 @@ TEST(VoteWalTest, FailedWriteSealsWithoutTearingDurablePrefix) {
   EXPECT_EQ(stats.torn_records, 0u);
 }
 
-TEST(CheckpointTest, PairsVariantRoundTripsThroughDiskAndSyntheticReplay) {
+TEST(CheckpointTest, PairsVariantRoundTripsThroughDiskAndDirectRestore) {
   std::string dir = ScratchDir("ckpt_pairs");
   std::vector<VoteEvent> votes = MakeVotes(500, 24);
   crowd::ResponseLog log(24, crowd::RetentionPolicy::kCounts);
@@ -315,15 +315,11 @@ TEST(CheckpointTest, PairsVariantRoundTripsThroughDiskAndSyntheticReplay) {
   EXPECT_EQ(loaded->dirty, data->dirty);
   EXPECT_EQ(loaded->clean, data->clean);
 
-  // Synthetic replay must rebuild the same compacted matrix slot-for-slot
+  // A direct restore must rebuild the same compacted matrix slot-for-slot
   // (the property that keeps EM bit-identical after recovery) and the same
   // per-item tallies.
   crowd::ResponseLog restored(24, crowd::RetentionPolicy::kCounts);
-  auto apply = [&](std::span<const VoteEvent> events) -> Status {
-    for (const VoteEvent& event : events) restored.Append(event);
-    return Status::OK();
-  };
-  ASSERT_TRUE(crowd::EmitCheckpointVotes(*loaded, apply).ok());
+  restored.RestoreCheckpoint(*loaded);
   EXPECT_EQ(restored.num_events(), log.num_events());
   ASSERT_NE(restored.compacted(), nullptr);
   ASSERT_NE(log.compacted(), nullptr);
@@ -554,7 +550,12 @@ TEST(SessionDurabilityTest, FlushFailureSealsWalUntilCheckpointHeals) {
   ASSERT_TRUE(attached.ok()) << attached.status().ToString();
   uint64_t restored = 0;
   auto recovered = (*attached)->Recover(
-      8, [&](std::span<const VoteEvent> events) -> Status {
+      8,
+      [&](const CheckpointData& data) -> Status {
+        restored += data.num_events;
+        return Status::OK();
+      },
+      [&](std::span<const VoteEvent> events) -> Status {
         restored += events.size();
         return Status::OK();
       });

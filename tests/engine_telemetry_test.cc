@@ -3,8 +3,9 @@
 // gauges appear on publish and vanish when the session dies, the engine
 // roll-up gauges count every session exactly once and return to zero after
 // churn, the deferred-publish counter tracks the coalesced cadence, striped
-// sessions export per-stripe lock counters, and the per-session flight
-// recorder captures commit/publish spans.
+// sessions export per-stripe lock counters (hold time included, however
+// often publishes reconcile), and the per-session flight recorder captures
+// commit/publish spans.
 //
 // Everything here reads the process-global registry, which other tests in
 // this binary also write — so every assertion is a *delta* against a
@@ -274,6 +275,36 @@ TEST(EngineTelemetryTest, StripedSessionExportsPerStripeLockCounters) {
   EXPECT_GT(HistogramCount(after, "dqm_publish_fold_ns") -
                 HistogramCount(before, "dqm_publish_fold_ns"),
             0u);
+}
+
+TEST(EngineTelemetryTest, StripeLockHoldTimeIsSampledUnderCoalescedPublish) {
+  ASSERT_TRUE(telemetry::Enabled());
+  MetricsRegistry::Collection before = MetricsRegistry::Global().Collect();
+  DqmEngine engine;
+  SessionOptions options;
+  options.cadence = PublishCadence::kEveryNVotes;
+  // A publish (and its reconcile) every 4 batches: far fewer than 64 lock
+  // acquisitions per stripe between reconciles, so a 1-in-64 hold sample
+  // keyed on the per-reconcile acquisition count would never fire.
+  options.publish_every_votes = 32;
+  options.ingest_stripes = 2;
+  Result<std::shared_ptr<EstimationSession>> session = engine.OpenSession(
+      "telem-hold", kItems, std::span<const std::string>(kPanel), options);
+  ASSERT_TRUE(session.ok());
+  ASSERT_TRUE((*session)->concurrent_ingest());
+  for (size_t b = 0; b < 1024; ++b) {
+    ASSERT_TRUE((*session)->AddVotes(MakeBatch(b, 8)).ok());
+  }
+  (*session)->Publish();
+  MetricsRegistry::Collection after = MetricsRegistry::Global().Collect();
+  uint64_t hold_ns = 0;
+  for (size_t stripe = 0; stripe < (*session)->options().ingest_stripes;
+       ++stripe) {
+    telemetry::LabelSet labels = {{"stripe", std::to_string(stripe)}};
+    hold_ns += CounterValue(after, "dqm_stripe_lock_hold_ns_total", labels) -
+               CounterValue(before, "dqm_stripe_lock_hold_ns_total", labels);
+  }
+  EXPECT_GT(hold_ns, 0u);
 }
 
 TEST(EngineTelemetryTest, FlightRecorderCapturesCommitAndPublishSpans) {

@@ -28,10 +28,12 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/failpoint.h"
@@ -758,6 +760,121 @@ INSTANTIATE_TEST_SUITE_P(
                      testing::Range(0, static_cast<int>(
                                            sizeof(kKillPoints) /
                                            sizeof(kKillPoints[0])))));
+
+// ---------------------------------------------------------------------------
+// Garbage-collection race: the primary deletes a generation's artifacts the
+// moment a newer checkpoint ships, which can fall between a standby's List
+// and its Get. A vanished artifact is a stale listing, not a failure.
+// ---------------------------------------------------------------------------
+
+/// Forwards to `inner`, with two hooks on segment reads: `before_segment_get`
+/// runs once, just before the next segment Get (the window the primary's GC
+/// can hit), and `segments_missing` makes every segment Get answer NotFound
+/// as if each listing were already stale.
+class RacingTransport : public ReplicationTransport {
+ public:
+  explicit RacingTransport(std::shared_ptr<ReplicationTransport> inner)
+      : inner_(std::move(inner)) {}
+
+  Status Put(const std::string& name, std::span<const uint8_t> bytes,
+             uint64_t fencing_token) override {
+    return inner_->Put(name, bytes, fencing_token);
+  }
+  Result<std::vector<std::string>> List() override {
+    ++lists;
+    return inner_->List();
+  }
+  Result<std::vector<uint8_t>> Get(const std::string& name) override {
+    if (ParseArtifactName(name).kind == ArtifactId::Kind::kSegment) {
+      if (before_segment_get) {
+        std::function<void()> hook = std::move(before_segment_get);
+        before_segment_get = nullptr;
+        hook();
+      }
+      if (segments_missing) {
+        ++vanished;
+        return Status::NotFound("segment '" + name + "' is gone");
+      }
+    }
+    Result<std::vector<uint8_t>> bytes = inner_->Get(name);
+    if (!bytes.ok() && bytes.status().code() == StatusCode::kNotFound) {
+      ++vanished;
+    }
+    return bytes;
+  }
+  Status Delete(const std::string& name) override {
+    return inner_->Delete(name);
+  }
+  Status RaiseFence(uint64_t token) override {
+    return inner_->RaiseFence(token);
+  }
+  Result<uint64_t> Fence() override { return inner_->Fence(); }
+
+  std::function<void()> before_segment_get;
+  bool segments_missing = false;
+  int lists = 0;
+  int vanished = 0;
+
+ private:
+  std::shared_ptr<ReplicationTransport> inner_;
+};
+
+TEST(StandbyGcRaceTest, SegmentDeletedBetweenListAndGetIsRelisted) {
+  size_t num_items = 0;
+  std::vector<VoteEvent> votes =
+      GenerateVotes(FamilySpecs().front(), 0x6C6C, &num_items);
+  ASSERT_GE(votes.size(), 200u);
+  DqmEngine primary;
+  auto session = primary.OpenSession(
+      "s", num_items, std::span<const std::string>(Panel()),
+      DurableOptions(ScratchDir("gc_primary"), 16, 150));
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  auto local = LocalDirTransport::Open(ScratchDir("gc_ship"));
+  ASSERT_TRUE(local.ok()) << local.status().ToString();
+  auto racing = std::make_shared<RacingTransport>(std::move(*local));
+  auto replicator = SessionReplicator::Start(*session, racing);
+  ASSERT_TRUE(replicator.ok()) << replicator.status().ToString();
+  DqmEngine standby_engine;
+  auto applier = StandbyApplier::Open(standby_engine, racing);
+  ASSERT_TRUE(applier.ok()) << applier.status().ToString();
+
+  // Generation-1 segments are shipped but not yet applied.
+  IngestRange(primary, "s", votes, 0, 100, 10);
+  ASSERT_TRUE((*session)->FlushDurability().ok());
+  // Between the standby's List and its first segment Get, the primary
+  // crosses its checkpoint at 150: checkpoint 2 ships and the GC deletes
+  // every generation-1 artifact the standby just listed.
+  racing->before_segment_get = [&] {
+    IngestRange(primary, "s", votes, 100, 200, 10);
+    ASSERT_TRUE((*session)->FlushDurability().ok());
+  };
+  Status polled = (*applier)->Poll();
+  ASSERT_TRUE(polled.ok()) << polled.ToString();
+  EXPECT_GE(racing->vanished, 1) << "the race window was not hit";
+  EXPECT_EQ((*applier)->applied_votes(), 200u);
+  EXPECT_EQ((*applier)->applied_generation(), 2u);
+  EXPECT_FALSE((*applier)->divergent());
+  ExpectPrefixParity(standby_engine, "s", votes, 200, num_items,
+                     "after the GC race");
+
+  // A listing that stays stale on the retry is reported, after exactly
+  // one re-list.
+  IngestRange(primary, "s", votes, 200, 240, 10);
+  ASSERT_TRUE((*session)->FlushDurability().ok());
+  racing->segments_missing = true;
+  const int lists_before = racing->lists;
+  Status failed = (*applier)->Poll();
+  EXPECT_EQ(failed.code(), StatusCode::kNotFound) << failed.ToString();
+  EXPECT_EQ(racing->lists - lists_before, 2);
+  EXPECT_EQ((*applier)->applied_votes(), 200u);
+
+  // Once the artifacts are readable again, the standby catches up.
+  racing->segments_missing = false;
+  ASSERT_TRUE((*applier)->Poll().ok());
+  EXPECT_EQ((*applier)->applied_votes(), 240u);
+  ExpectPrefixParity(standby_engine, "s", votes, 240, num_items,
+                     "after the stale listing cleared");
+}
 
 // ---------------------------------------------------------------------------
 // Live session migration.
