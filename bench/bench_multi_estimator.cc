@@ -1,8 +1,8 @@
-// One-pass multi-estimator evaluation vs the pre-registry workflow.
+// One-pass multi-estimator evaluation vs six single-estimator replays.
 //
 // The paper's comparisons (Figs. 2, 4, 6) score the whole estimator panel —
 // SWITCH, CHAO92, GOOD-TURING, V-CHAO, VOTING, NOMINAL — on the same vote
-// stream. With the closed Method enum that meant six independent
+// stream. Scored one estimator at a time, that means six independent
 // single-method `DataQualityMetric` replays: six response-log copies, six
 // sets of per-item tallies, six duplicated positive-vote fingerprints. The
 // multi-estimator pipeline attaches all six to ONE log and shares the
@@ -37,11 +37,6 @@ double SecondsSince(Clock::time_point start) {
 const std::vector<std::string> kPanel = {
     "switch", "chao92", "good-turing", "vchao92", "voting", "nominal"};
 
-const std::vector<dqm::core::Method> kPanelMethods = {
-    dqm::core::Method::kSwitch,  dqm::core::Method::kChao92,
-    dqm::core::Method::kGoodTuring, dqm::core::Method::kVChao92,
-    dqm::core::Method::kVoting,  dqm::core::Method::kNominal};
-
 struct Timed {
   double seconds = 0.0;
   std::vector<double> finals;  // one per panel estimator
@@ -52,10 +47,9 @@ Timed RunSixReplays(const std::vector<dqm::crowd::VoteEvent>& events,
                     size_t num_items) {
   Timed result;
   Clock::time_point start = Clock::now();
-  for (dqm::core::Method method : kPanelMethods) {
-    dqm::core::DataQualityMetric::Options options;
-    options.method = method;
-    dqm::core::DataQualityMetric metric(num_items, options);
+  for (const std::string& spec : kPanel) {
+    dqm::core::DataQualityMetric metric =
+        dqm::core::DataQualityMetric::Create(num_items, {spec}).value();
     for (const dqm::crowd::VoteEvent& event : events) {
       metric.AddVote(event.task, event.worker, event.item,
                      event.vote == dqm::crowd::Vote::kDirty);

@@ -80,6 +80,27 @@ class TransientRetrier {
   bool slept_once_ = false;
 };
 
+/// rename(2) — the commit point of AtomicWriteFile.
+Status Rename(const char* failpoint, const std::string& from,
+              const std::string& to) {
+  TransientRetrier retrier;
+  for (;;) {
+    auto injected = failpoint::Eval(failpoint);
+    if (injected.op == failpoint::EvalResult::Op::kReturnEarly) {
+      return Status::OK();  // commit point silently skipped
+    }
+    int err = 0;
+    if (injected.op == failpoint::EvalResult::Op::kError) {
+      err = injected.injected_errno;
+    } else if (::rename(from.c_str(), to.c_str()) != 0) {
+      err = errno;
+    }
+    if (err == 0) return Status::OK();
+    if (retrier.ShouldRetry(err)) continue;
+    return ErrnoError("rename", from, err);
+  }
+}
+
 }  // namespace
 
 bool IsTransientErrno(int err) {
@@ -236,26 +257,6 @@ Status FsyncParentDir(const char* failpoint, const std::string& path) {
   }
 }
 
-Status Rename(const char* failpoint, const std::string& from,
-              const std::string& to) {
-  TransientRetrier retrier;
-  for (;;) {
-    auto injected = failpoint::Eval(failpoint);
-    if (injected.op == failpoint::EvalResult::Op::kReturnEarly) {
-      return Status::OK();  // commit point silently skipped
-    }
-    int err = 0;
-    if (injected.op == failpoint::EvalResult::Op::kError) {
-      err = injected.injected_errno;
-    } else if (::rename(from.c_str(), to.c_str()) != 0) {
-      err = errno;
-    }
-    if (err == 0) return Status::OK();
-    if (retrier.ShouldRetry(err)) continue;
-    return ErrnoError("rename", from, err);
-  }
-}
-
 Status Ftruncate(const char* failpoint, int fd, uint64_t size,
                  const std::string& path) {
   TransientRetrier retrier;
@@ -274,6 +275,25 @@ Status Ftruncate(const char* failpoint, int fd, uint64_t size,
     if (retrier.ShouldRetry(err)) continue;
     return ErrnoError("truncate", path, err);
   }
+}
+
+Status AtomicWriteFile(const std::string& path,
+                       std::span<const uint8_t> bytes,
+                       const AtomicWriteFailpoints& failpoints) {
+  const std::string tmp = path + ".tmp";
+  DQM_ASSIGN_OR_RETURN(
+      int fd, Open(failpoints.open, tmp,
+                   O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644));
+  Status status =
+      WriteAll(failpoints.write, fd, bytes.data(), bytes.size(), tmp);
+  if (status.ok()) status = Fsync(failpoints.fsync, fd, tmp);
+  ::close(fd);
+  if (!status.ok()) {
+    ::unlink(tmp.c_str());
+    return status;
+  }
+  DQM_RETURN_NOT_OK(Rename(failpoints.rename, tmp, path));
+  return FsyncParentDir(failpoints.dirsync, path);
 }
 
 }  // namespace dqm::crowd::io

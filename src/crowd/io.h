@@ -5,6 +5,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 
 #include "common/result.h"
@@ -99,13 +100,27 @@ Status Fsync(const char* failpoint, int fd, const std::string& path);
 /// edge (open + fsync of the directory fd).
 Status FsyncParentDir(const char* failpoint, const std::string& path);
 
-/// rename(2) — the commit point of every tmp+rename dance.
-Status Rename(const char* failpoint, const std::string& from,
-              const std::string& to);
-
 /// ftruncate(2).
 Status Ftruncate(const char* failpoint, int fd, uint64_t size,
                  const std::string& path);
+
+/// The failpoint of each edge of an AtomicWriteFile, so every caller keeps
+/// its own subsystem's names.
+struct AtomicWriteFailpoints {
+  const char* open;
+  const char* write;
+  const char* fsync;
+  const char* rename;
+  const char* dirsync;
+};
+
+/// Publishes `bytes` at `path` so a reader sees either the old file or the
+/// whole new one: writes and fsyncs `<path>.tmp`, renames it over `path`
+/// (the commit point), then fsyncs the parent directory so the rename
+/// survives power loss. A failed write or fsync removes the tmp file.
+Status AtomicWriteFile(const std::string& path,
+                       std::span<const uint8_t> bytes,
+                       const AtomicWriteFailpoints& failpoints);
 
 }  // namespace dqm::crowd::io
 

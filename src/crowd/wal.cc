@@ -565,19 +565,10 @@ Status WriteCheckpointFile(const std::string& path,
   }
   PutU32(bytes, Crc32(bytes.data(), bytes.size()));
 
-  const std::string tmp = path + ".tmp";
-  DQM_ASSIGN_OR_RETURN(
-      int fd, io::Open(fpn::kCheckpointOpen, tmp,
-                       O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644));
-  Status status =
-      io::WriteAll(fpn::kCheckpointWrite, fd, bytes.data(), bytes.size(), tmp);
-  if (status.ok()) status = io::Fsync(fpn::kCheckpointFsync, fd, tmp);
-  ::close(fd);
-  if (!status.ok()) return status;
-  DQM_RETURN_NOT_OK(io::Rename(fpn::kCheckpointRename, tmp, path));
-  // The rename is the commit point; syncing the directory makes it stick
-  // across power loss.
-  return io::FsyncParentDir(fpn::kCheckpointDirsync, path);
+  return io::AtomicWriteFile(
+      path, bytes,
+      {fpn::kCheckpointOpen, fpn::kCheckpointWrite, fpn::kCheckpointFsync,
+       fpn::kCheckpointRename, fpn::kCheckpointDirsync});
 }
 
 Result<CheckpointData> ReadCheckpointFile(const std::string& path) {

@@ -51,22 +51,6 @@ std::string ParentDir(const std::string& path) {
   return path.substr(0, slash);
 }
 
-/// Atomic small-file write: tmp + fsync + rename + fsync parent.
-Status WriteFileAtomic(const std::string& path, std::string_view content) {
-  const std::string tmp = path + ".tmp";
-  DQM_ASSIGN_OR_RETURN(
-      int fd, io::Open(fpn::kManifestOpen, tmp,
-                       O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644));
-  Status status = io::WriteAll(
-      fpn::kManifestWrite, fd,
-      reinterpret_cast<const uint8_t*>(content.data()), content.size(), tmp);
-  if (status.ok()) status = io::Fsync(fpn::kManifestFsync, fd, tmp);
-  ::close(fd);
-  if (!status.ok()) return status;
-  DQM_RETURN_NOT_OK(io::Rename(fpn::kManifestRename, tmp, path));
-  return FsyncPath(ParentDir(path), /*directory=*/true);
-}
-
 Result<std::string> ReadWholeFile(const std::string& path) {
   struct stat st;
   if (::stat(path.c_str(), &st) != 0 && errno == ENOENT) {
@@ -263,7 +247,13 @@ std::string ManifestContent(const SessionManifest& m) {
 }
 
 Status WriteManifestFile(const std::string& path, const SessionManifest& m) {
-  return WriteFileAtomic(path, ManifestContent(m));
+  const std::string content = ManifestContent(m);
+  return io::AtomicWriteFile(
+      path,
+      std::span(reinterpret_cast<const uint8_t*>(content.data()),
+                content.size()),
+      {fpn::kManifestOpen, fpn::kManifestWrite, fpn::kManifestFsync,
+       fpn::kManifestRename, fpn::kDirSync});
 }
 
 Result<SessionManifest> ParseManifestContent(std::string_view content,

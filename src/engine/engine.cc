@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <functional>
 #include <memory>
 #include <utility>
 
@@ -95,29 +94,17 @@ Status DqmEngine::PrecheckName(const std::string& name) const {
 }
 
 Result<std::shared_ptr<EstimationSession>> DqmEngine::InsertSession(
-    const std::string& name,
-    const std::function<std::shared_ptr<EstimationSession>()>& make_session) {
-  DQM_RETURN_NOT_OK(PrecheckName(name));
+    const std::string& name, std::shared_ptr<EstimationSession> session) {
   Shard& shard = ShardFor(name);
-  // Construct outside the shard lock; a racing open of the same name is
-  // resolved by the emplace below (first writer wins).
-  std::shared_ptr<EstimationSession> session = make_session();
   MutexLock lock(shard.mutex);
-  auto [it, inserted] = shard.sessions.emplace(name, session);
+  // try_emplace leaves a losing `session` intact, so it is destroyed after
+  // the shard lock is released.
+  auto [it, inserted] = shard.sessions.try_emplace(name, std::move(session));
   if (!inserted) {
     return Status::AlreadyExists(
         StrFormat("session '%s' is already open", name.c_str()));
   }
-  return session;
-}
-
-Result<std::shared_ptr<EstimationSession>> DqmEngine::OpenSession(
-    const std::string& name, size_t num_items,
-    const core::DataQualityMetric::Options& metric_options) {
-  return InsertSession(name, [&] {
-    return std::make_shared<EstimationSession>(name, num_items,
-                                               metric_options);
-  });
+  return it->second;
 }
 
 Result<std::shared_ptr<EstimationSession>> DqmEngine::OpenSession(
@@ -149,10 +136,9 @@ Result<std::shared_ptr<EstimationSession>> DqmEngine::OpenSession(
         CreateSessionDurability(name, num_items, specs, session_options,
                                 metric.SupportsConcurrentIngest()));
   }
-  auto session = std::make_shared<EstimationSession>(
-      name, std::move(metric), session_options, std::move(durability),
-      std::vector<std::string>(specs.begin(), specs.end()));
-  return InsertSession(name, [&] { return session; });
+  return InsertSession(name, std::make_shared<EstimationSession>(
+                                 name, std::move(metric), session_options,
+                                 std::move(durability)));
 }
 
 Result<std::vector<std::string>> DqmEngine::ListSessionDirs(
@@ -204,12 +190,10 @@ Result<DqmEngine::RecoveredSession> DqmEngine::RecoverSessionDir(
   DQM_ASSIGN_OR_RETURN(std::unique_ptr<SessionDurability> durability,
                        SessionDurability::Attach(durability_options));
   auto session = std::make_shared<EstimationSession>(
-      manifest.name, std::move(metric), options, std::move(durability),
-      manifest.specs);
+      manifest.name, std::move(metric), options, std::move(durability));
   DQM_ASSIGN_OR_RETURN(EstimationSession::RecoveryReport report,
                        session->RecoverFromDurability());
-  DQM_RETURN_NOT_OK(
-      InsertSession(manifest.name, [&] { return session; }).status());
+  DQM_RETURN_NOT_OK(InsertSession(manifest.name, session).status());
   RecoveredSession row;
   row.name = manifest.name;
   row.num_items = manifest.num_items;
@@ -371,11 +355,6 @@ Status DqmEngine::MigrateSession(const std::string& name, DqmEngine& target,
   }
   DQM_ASSIGN_OR_RETURN(std::shared_ptr<EstimationSession> session,
                        GetSession(name));
-  if (session->specs().empty()) {
-    return Status::FailedPrecondition(StrFormat(
-        "session '%s' was opened without estimator specs; its panel cannot "
-        "be rebuilt on the target engine", name.c_str()));
-  }
   // Durable barrier first: after this, everything the export cut will see
   // is also on disk at the source, so a crash mid-migration loses nothing
   // (the source stays registered until the hand-off completes).

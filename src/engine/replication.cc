@@ -24,6 +24,7 @@ namespace fs = std::filesystem;
 namespace io = crowd::io;
 
 constexpr char kFenceFile[] = "FENCE";
+/// The in-flight name io::AtomicWriteFile writes before its rename.
 constexpr char kTmpSuffix[] = ".tmp";
 
 telemetry::Counter& CounterFor(const char* name) {
@@ -75,26 +76,9 @@ Result<std::vector<uint8_t>> ReadFileBytes(const std::string& path) {
   return bytes;
 }
 
-/// tmp + write + fsync + rename + dirsync — the same publish dance the
-/// durability layer uses, so a reader never observes a torn artifact.
-Status WriteFileAtomicRepl(const std::string& path,
-                           std::span<const uint8_t> bytes) {
-  const std::string tmp = path + kTmpSuffix;
-  DQM_ASSIGN_OR_RETURN(
-      int fd, io::Open(io::fpn::kReplOpen, tmp,
-                       O_CREAT | O_TRUNC | O_WRONLY, 0644));
-  Status status =
-      io::WriteAll(io::fpn::kReplWrite, fd, bytes.data(), bytes.size(), tmp);
-  if (status.ok()) status = io::Fsync(io::fpn::kReplFsync, fd, tmp);
-  ::close(fd);
-  if (!status.ok()) {
-    std::error_code ec;
-    fs::remove(tmp, ec);
-    return status;
-  }
-  DQM_RETURN_NOT_OK(io::Rename(io::fpn::kReplRename, tmp, path));
-  return io::FsyncParentDir(io::fpn::kReplDirsync, path);
-}
+constexpr io::AtomicWriteFailpoints kReplWriteFailpoints = {
+    io::fpn::kReplOpen, io::fpn::kReplWrite, io::fpn::kReplFsync,
+    io::fpn::kReplRename, io::fpn::kReplDirsync};
 
 }  // namespace
 
@@ -177,7 +161,7 @@ Status LocalDirTransport::Put(const std::string& name,
         name.c_str(), static_cast<unsigned long long>(fencing_token),
         static_cast<unsigned long long>(fence)));
   }
-  return WriteFileAtomicRepl(dir_ + "/" + name, bytes);
+  return io::AtomicWriteFile(dir_ + "/" + name, bytes, kReplWriteFailpoints);
 }
 
 Result<std::vector<std::string>> LocalDirTransport::List() {
@@ -223,10 +207,11 @@ Status LocalDirTransport::RaiseFence(uint64_t token) {
   DQM_ASSIGN_OR_RETURN(uint64_t current, Fence());
   if (token <= current) return Status::OK();  // monotonic: never lowers
   std::string text = StrFormat("%llu\n", static_cast<unsigned long long>(token));
-  return WriteFileAtomicRepl(
+  return io::AtomicWriteFile(
       dir_ + "/" + kFenceFile,
       std::span<const uint8_t>(reinterpret_cast<const uint8_t*>(text.data()),
-                               text.size()));
+                               text.size()),
+      kReplWriteFailpoints);
 }
 
 Result<uint64_t> LocalDirTransport::Fence() {

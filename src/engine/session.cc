@@ -258,20 +258,13 @@ size_t ResolveIngestStripes(const SessionOptions& options,
 }
 
 EstimationSession::EstimationSession(
-    std::string name, size_t num_items,
-    const core::DataQualityMetric::Options& options)
-    : EstimationSession(std::move(name),
-                        core::DataQualityMetric(num_items, options)) {}
-
-EstimationSession::EstimationSession(
     std::string name, core::DataQualityMetric metric,
     const SessionOptions& session_options,
-    std::unique_ptr<SessionDurability> durability,
-    std::vector<std::string> specs)
+    std::unique_ptr<SessionDurability> durability)
     : name_(std::move(name)),
       num_items_(metric.num_items()),
       options_(session_options),
-      specs_(std::move(specs)),
+      specs_(metric.specs()),
       durability_(std::move(durability)),
       metric_(std::move(metric)),
       estimator_names_(InitialNames(metric_)),

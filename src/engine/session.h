@@ -223,20 +223,12 @@ class SessionDurability;
 /// fed by a single producer per session.
 class EstimationSession {
  public:
-  EstimationSession(std::string name, size_t num_items,
-                    const core::DataQualityMetric::Options& options =
-                        core::DataQualityMetric::Options());
-
-  /// Wraps an already-configured pipeline (the engine's spec-based
-  /// OpenSession path). `durability`, when non-null, write-ahead logs every
-  /// committed batch (the engine constructs it from
-  /// SessionOptions::durability_dir). `specs` are the estimator spec
-  /// strings the pipeline was built from — retained verbatim so the session
-  /// can be re-created elsewhere (MigrateSession, standby opens).
+  /// Wraps an already-configured pipeline (the engine's OpenSession path).
+  /// `durability`, when non-null, write-ahead logs every committed batch
+  /// (the engine constructs it from SessionOptions::durability_dir).
   EstimationSession(std::string name, core::DataQualityMetric metric,
                     const SessionOptions& session_options = SessionOptions(),
-                    std::unique_ptr<SessionDurability> durability = nullptr,
-                    std::vector<std::string> specs = {});
+                    std::unique_ptr<SessionDurability> durability = nullptr);
 
   EstimationSession(const EstimationSession&) = delete;
   EstimationSession& operator=(const EstimationSession&) = delete;
@@ -309,9 +301,9 @@ class EstimationSession {
   /// True when this session write-ahead logs its votes.
   bool durable() const { return durability_ != nullptr; }
 
-  /// Estimator spec strings this session was opened with (empty for
-  /// sessions built from a raw DataQualityMetric without specs). What
-  /// MigrateSession / the standby open path use to rebuild the panel.
+  /// Estimator spec strings the session's pipeline was built from,
+  /// verbatim. What MigrateSession / the standby open path use to rebuild
+  /// the panel.
   const std::vector<std::string>& specs() const { return specs_; }
 
   /// The session's durability engine — the attach point for replication

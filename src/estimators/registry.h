@@ -143,13 +143,13 @@ struct ConformanceTraits {
   double estimate_tolerance_rel = 0.0;
 };
 
-/// Open name -> factory registry: the extension point that replaced the
-/// closed core::Method enum. Built-in estimators self-register from their
-/// own .cc files (see the internal::RegisterBuiltin* hooks below — explicit
-/// hook functions rather than static initializers, so registration survives
-/// static-library linking and never races program start-up); library users
-/// add their own estimators with Register() and select them by spec string
-/// through every API that accepts one.
+/// Open name -> factory registry: the one way to name an estimator.
+/// Built-in estimators self-register from their own .cc files (see the
+/// internal::RegisterBuiltin* hooks below — explicit hook functions rather
+/// than static initializers, so registration survives static-library
+/// linking and never races program start-up); library users add their own
+/// estimators with Register() and select them by spec string through every
+/// API that accepts one.
 class EstimatorRegistry {
  public:
   struct Entry {

@@ -4,12 +4,14 @@
 #include <cmath>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/dqm.h"
 #include "core/experiment.h"
 #include "core/scenario.h"
+#include "estimators/registry.h"
 
 namespace dqm {
 namespace {
@@ -64,16 +66,16 @@ TEST_P(ConvergenceTest, EstimatesAlwaysFiniteAndNonNegative) {
   scenario.num_candidates = 200;
   scenario.dirty_in_candidates = 20;
   core::SimulatedRun run = core::SimulateScenario(scenario, 150, seed);
-  for (core::Method method :
-       {core::Method::kSwitch, core::Method::kChao92, core::Method::kVChao92,
-        core::Method::kGoodTuring}) {
-    auto estimator = core::MakeEstimatorFactory(method)(scenario.num_items);
+  for (const char* spec : {"switch", "chao92", "vchao92", "good-turing"}) {
+    auto estimator = estimators::EstimatorRegistry::Global()
+                         .Create(spec, scenario.num_items)
+                         .value();
     for (const crowd::VoteEvent& event : run.log.events()) {
       estimator->Observe(event);
       double estimate = estimator->Estimate();
       ASSERT_TRUE(std::isfinite(estimate))
-          << core::MethodName(method) << " fp=" << fp << " fn=" << fn;
-      ASSERT_GE(estimate, 0.0) << core::MethodName(method);
+          << spec << " fp=" << fp << " fn=" << fn;
+      ASSERT_GE(estimate, 0.0) << spec;
     }
   }
 }
@@ -96,9 +98,8 @@ TEST_P(ConvergenceTest, VotingErrorShrinksOverTime) {
   core::Scenario scenario = core::SimulationScenario(fp, fn, 15);
   core::SimulatedRun run = core::SimulateScenario(scenario, 600, seed + 100);
   core::ExperimentRunner runner({.permutations = 3, .seed = seed});
-  auto results = runner.Run(
-      run.log, scenario.num_items,
-      {{"VOTING", core::MakeEstimatorFactory(core::Method::kVoting)}});
+  const std::vector<std::string> specs = {"voting"};
+  auto results = runner.Run(run.log, scenario.num_items, specs).value();
   const std::vector<double>& mean = results[0].mean;
   double early_error = std::abs(mean[mean.size() / 3] - 100.0);
   double final_error = std::abs(mean.back() - 100.0);

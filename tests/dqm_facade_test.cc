@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "core/experiment.h"
 #include "core/scenario.h"
 
@@ -16,6 +20,7 @@ TEST(DataQualityMetricTest, FreshMetricIsPristine) {
   EXPECT_DOUBLE_EQ(metric.EstimatedUndetectedErrors(), 0.0);
   EXPECT_DOUBLE_EQ(metric.QualityScore(), 1.0);
   EXPECT_EQ(metric.method_name(), "SWITCH");
+  EXPECT_EQ(metric.specs(), std::vector<std::string>{"switch"});
 }
 
 TEST(DataQualityMetricTest, VotesFlowThrough) {
@@ -28,20 +33,21 @@ TEST(DataQualityMetricTest, VotesFlowThrough) {
   EXPECT_EQ(metric.log().positive_votes(3), 1u);
 }
 
-TEST(DataQualityMetricTest, MethodSelection) {
-  for (Method method : {Method::kSwitch, Method::kChao92, Method::kGoodTuring,
-                        Method::kVChao92, Method::kVoting, Method::kNominal}) {
-    DataQualityMetric::Options options;
-    options.method = method;
-    DataQualityMetric metric(10, options);
-    EXPECT_EQ(metric.method_name(), MethodName(method));
+/// The paper's panel: spec string -> display name.
+const std::vector<std::pair<std::string, std::string>> kPanel = {
+    {"switch", "SWITCH"},  {"chao92", "CHAO92"},
+    {"good-turing", "GOOD-TURING"},  {"vchao92", "V-CHAO"},
+    {"voting", "VOTING"},  {"nominal", "NOMINAL"}};
+
+TEST(DataQualityMetricTest, SpecSelectsThePrimaryEstimator) {
+  for (const auto& [spec, name] : kPanel) {
+    DataQualityMetric metric = DataQualityMetric::Create(10, {spec}).value();
+    EXPECT_EQ(metric.method_name(), name);
   }
 }
 
 TEST(DataQualityMetricTest, UndetectedIsTotalMinusMajority) {
-  DataQualityMetric::Options options;
-  options.method = Method::kChao92;
-  DataQualityMetric metric(50, options);
+  DataQualityMetric metric = DataQualityMetric::Create(50, {"chao92"}).value();
   // Ten singleton dirty items: Chao92 extrapolates beyond the majority.
   for (uint32_t i = 0; i < 10; ++i) {
     metric.AddVote(i, i, i, true);
@@ -80,16 +86,15 @@ TEST(DataQualityMetricTest, EstimateTracksTruthEndToEnd) {
   EXPECT_NEAR(metric.EstimatedTotalErrors(), 100.0, 20.0);
 }
 
-TEST(MakeEstimatorFactoryTest, ProducesWorkingEstimators) {
-  for (Method method : {Method::kSwitch, Method::kChao92, Method::kVChao92,
-                        Method::kVoting, Method::kNominal,
-                        Method::kGoodTuring}) {
-    estimators::EstimatorFactory factory = MakeEstimatorFactory(method);
+TEST(RegistryFactoryTest, ProducesWorkingEstimators) {
+  for (const auto& [spec, name] : kPanel) {
+    estimators::EstimatorFactory factory =
+        estimators::EstimatorRegistry::Global().FactoryFor(spec).value();
     auto estimator = factory(20);
     ASSERT_NE(estimator, nullptr);
     estimator->Observe({0, 0, 1, crowd::Vote::kDirty});
     EXPECT_GE(estimator->Estimate(), 0.0);
-    EXPECT_EQ(estimator->name(), MethodName(method));
+    EXPECT_EQ(estimator->name(), name);
   }
 }
 

@@ -3,6 +3,8 @@
 // the paper's deployments did.
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -101,10 +103,8 @@ TEST(EndToEndTest, SwitchBeatsChaoUnderFalsePositives) {
   core::Scenario scenario = core::SimulationScenario(0.01, 0.1, 15);
   core::SimulatedRun run = core::SimulateScenario(scenario, 600, 19);
   core::ExperimentRunner runner({.permutations = 5, .seed = 23});
-  auto results = runner.Run(
-      run.log, scenario.num_items,
-      {{"SWITCH", core::MakeEstimatorFactory(core::Method::kSwitch)},
-       {"CHAO92", core::MakeEstimatorFactory(core::Method::kChao92)}});
+  const std::vector<std::string> specs = {"switch", "chao92"};
+  auto results = runner.Run(run.log, scenario.num_items, specs).value();
   double switch_final = results[0].mean.back();
   double chao_final = results[1].mean.back();
   EXPECT_LT(std::abs(switch_final - 100.0), std::abs(chao_final - 100.0));

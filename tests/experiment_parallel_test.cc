@@ -5,17 +5,22 @@
 
 #include "core/dqm.h"
 #include "core/experiment.h"
+#include "estimators/registry.h"
 #include "estimators/switch_total.h"
 
 namespace dqm::core {
 namespace {
 
+estimators::EstimatorFactory Factory(const std::string& spec) {
+  return estimators::EstimatorRegistry::Global().FactoryFor(spec).value();
+}
+
 std::vector<std::pair<std::string, estimators::EstimatorFactory>>
 DefaultFactories() {
   return {
-      {"VOTING", MakeEstimatorFactory(Method::kVoting)},
-      {"CHAO92", MakeEstimatorFactory(Method::kChao92)},
-      {"SWITCH", MakeEstimatorFactory(Method::kSwitch)},
+      {"VOTING", Factory("voting")},
+      {"CHAO92", Factory("chao92")},
+      {"SWITCH", Factory("switch")},
   };
 }
 
@@ -49,7 +54,7 @@ TEST(ExperimentRunnerParallelTest, RunnerUsesThePermutationSeedSchedule) {
 
   ExperimentRunner runner({.permutations = kPermutations, .seed = kSeed});
   auto results = runner.Run(run.log, s.num_items,
-                            {{"SWITCH", MakeEstimatorFactory(Method::kSwitch)}});
+                            {{"SWITCH", Factory("switch")}});
 
   std::vector<std::vector<double>> expected_rows;
   for (size_t p = 0; p < kPermutations; ++p) {

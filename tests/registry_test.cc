@@ -8,7 +8,10 @@
 #include <string>
 #include <vector>
 
+#include "core/experiment.h"
+#include "core/scenario.h"
 #include "estimators/chao92.h"
+#include "estimators/switch_total.h"
 
 namespace dqm::estimators {
 namespace {
@@ -125,22 +128,48 @@ TEST(EstimatorRegistryTest, UnknownAndMalformedParamsAreInvalidArgument) {
 }
 
 TEST(EstimatorRegistryTest, SpecParamsConfigureTheEstimator) {
-  // vchao92?shift=2 must behave exactly like a directly constructed
-  // VChao92Estimator with shift 2.
-  EstimatorRegistry& registry = EstimatorRegistry::Global();
-  std::unique_ptr<TotalErrorEstimator> by_spec =
-      registry.Create("vchao92?shift=2", 50).value();
-  VChao92Estimator direct(50, 2);
-  for (uint32_t task = 0; task < 30; ++task) {
-    for (uint32_t i = 0; i < 5; ++i) {
-      crowd::VoteEvent event{task, task, (task * 3 + i) % 50,
-                             i % 3 == 0 ? crowd::Vote::kDirty
-                                        : crowd::Vote::kClean};
+  // A spec's params must configure the estimator exactly like its
+  // constructor does: equal estimates after every vote of a real stream.
+  // The switch spec sets every switch param.
+  SwitchTotalErrorEstimator::Config config;
+  config.trend_window = 30;
+  config.flip_threshold_abs = 5.0;
+  config.flip_threshold_rel = 0.08;
+  config.up_flip_factor = 1.5;
+  config.smooth_window = 4;
+  config.two_sided = true;
+  config.tracker.skew_correction = false;
+  config.tracker.tie_policy = TiePolicy::kStrictMajority;
+  config.tracker.n_mode = SwitchNMode::kSpeciesSum;
+  config.tracker.counting = SwitchCountingMode::kPerRecord;
+  config.tracker.memory = SwitchMemory::kAllSwitches;
+
+  core::Scenario scenario = core::SimulationScenario(0.02, 0.12, 10);
+  scenario.workers.variation = 0.02;
+  core::SimulatedRun run = core::SimulateScenario(scenario, 120, 37);
+  const size_t num_items = run.truth.size();
+
+  struct Case {
+    std::string spec;
+    std::unique_ptr<TotalErrorEstimator> direct;
+  };
+  std::vector<Case> cases;
+  cases.push_back(
+      {"vchao92?shift=2", std::make_unique<VChao92Estimator>(num_items, 2)});
+  cases.push_back(
+      {"switch?tau=30&flip_abs=5&flip_rel=0.08&up_flip_factor=1.5"
+       "&smooth_window=4&two_sided=1&skew=0&tie_policy=strict"
+       "&n_mode=species&counting=per-record&memory=all",
+       std::make_unique<SwitchTotalErrorEstimator>(num_items, config)});
+  for (Case& c : cases) {
+    std::unique_ptr<TotalErrorEstimator> by_spec =
+        EstimatorRegistry::Global().Create(c.spec, num_items).value();
+    for (const crowd::VoteEvent& event : run.log.events()) {
       by_spec->Observe(event);
-      direct.Observe(event);
+      c.direct->Observe(event);
+      ASSERT_EQ(by_spec->Estimate(), c.direct->Estimate()) << c.spec;
     }
   }
-  EXPECT_EQ(by_spec->Estimate(), direct.Estimate());
 }
 
 /// A user-provided estimator: the registry is open, not a baked-in list.

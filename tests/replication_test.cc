@@ -901,10 +901,13 @@ TEST(MigrateSessionTest, MovesSessionAcrossEnginesWithDurability) {
     IngestRange(a, "m", votes, 0, 160, 16);
     (*session)->Publish();
     Snapshot before = a.Query("m").value();
+    const std::vector<std::string> source_specs = (*session)->specs();
 
     DqmEngine b;
     ASSERT_TRUE(a.MigrateSession("m", b, root_b).ok());
     EXPECT_EQ(migrations->Value(), migrations_base + 1);
+    // The target runs the source's panel, spec strings verbatim.
+    EXPECT_EQ(b.GetSession("m").value()->specs(), source_specs);
 
     // The source engine no longer routes; the target serves bit-identical
     // state and accepts new traffic into its new durable home.
@@ -926,18 +929,23 @@ TEST(MigrateSessionTest, MovesSessionAcrossEnginesWithDurability) {
   EXPECT_EQ((*reports)[0].votes_restored, 200u);
 }
 
-TEST(MigrateSessionTest, RefusesUnknownAndSpecLessSessions) {
+TEST(MigrateSessionTest, RefusesUnknownAndOrderSensitiveSessions) {
   DqmEngine a;
   DqmEngine b;
   EXPECT_FALSE(a.MigrateSession("missing", b).ok());
 
-  // Sessions opened without spec strings cannot be rebuilt on the target.
-  auto raw = a.OpenSession("raw", 16);
-  ASSERT_TRUE(raw.ok());
-  Status status = a.MigrateSession("raw", b);
-  EXPECT_FALSE(status.ok());
-  EXPECT_TRUE(a.Query("raw").ok())
+  // SWITCH needs arrival order, which the exported counts do not hold: the
+  // target refuses the restore, and the failed migration rolls the target
+  // back and leaves the source serving.
+  const std::vector<std::string> ordered = {"switch"};
+  ASSERT_TRUE(a.OpenSession("ordered", 16, ordered).ok());
+  VoteEvent vote{0, 0, 3, crowd::Vote::kDirty};
+  ASSERT_TRUE(a.Ingest("ordered", std::span<const VoteEvent>(&vote, 1)).ok());
+  EXPECT_EQ(a.MigrateSession("ordered", b).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_TRUE(a.Query("ordered").ok())
       << "a failed migration must leave the source serving";
+  EXPECT_FALSE(b.Query("ordered").ok());
 }
 
 }  // namespace

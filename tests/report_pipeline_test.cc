@@ -1,7 +1,6 @@
 // The multi-estimator pipeline contract: one pass over the vote stream must
 // produce, for every attached estimator, exactly the numbers an independent
-// single-method replay produces — bit for bit — while the deprecated enum
-// construction path keeps its historical behavior.
+// single-method replay produces — bit for bit.
 
 #include <gtest/gtest.h>
 
@@ -21,9 +20,9 @@ namespace {
 const std::vector<std::string> kPanel = {
     "switch", "chao92", "good-turing", "vchao92", "voting", "nominal"};
 
-const std::vector<Method> kPanelMethods = {
-    Method::kSwitch, Method::kChao92, Method::kGoodTuring,
-    Method::kVChao92, Method::kVoting, Method::kNominal};
+/// The panel's display names, in kPanel order.
+const std::vector<std::string> kPanelNames = {
+    "SWITCH", "CHAO92", "GOOD-TURING", "V-CHAO", "VOTING", "NOMINAL"};
 
 SimulatedRun PanelRun(size_t tasks = 150, uint64_t seed = 11) {
   Scenario scenario = SimulationScenario(0.02, 0.15, 10);
@@ -62,18 +61,8 @@ TEST(ReportPipelineTest, OnePassMatchesSixSingleMethodReplaysBitForBit) {
     EXPECT_EQ(report.estimators[i].undetected_errors,
               replay->EstimatedUndetectedErrors());
     EXPECT_EQ(report.estimators[i].quality_score, replay->QualityScore());
-
-    // ...and through the legacy enum path (standalone estimators).
-    DataQualityMetric::Options options;
-    options.method = kPanelMethods[i];
-    DataQualityMetric legacy(num_items, options);
-    Feed(legacy, run.log);
-    EXPECT_EQ(report.estimators[i].total_errors,
-              legacy.EstimatedTotalErrors());
-    EXPECT_EQ(report.estimators[i].undetected_errors,
-              legacy.EstimatedUndetectedErrors());
-    EXPECT_EQ(report.estimators[i].quality_score, legacy.QualityScore());
-    EXPECT_EQ(report.estimators[i].name, MethodName(kPanelMethods[i]));
+    EXPECT_EQ(report.estimators[i].name, kPanelNames[i]);
+    EXPECT_EQ(replay->method_name(), kPanelNames[i]);
   }
 }
 
@@ -116,45 +105,6 @@ TEST(ReportPipelineTest, CreateRejectsBadInput) {
   EXPECT_EQ(
       DataQualityMetric::Create(100, "switch?winow=9").status().code(),
       StatusCode::kInvalidArgument);
-}
-
-TEST(ReportPipelineTest, DeprecatedOptionKnobsStillConfigureTheEstimator) {
-  SimulatedRun run = PanelRun(80, 23);
-  size_t num_items = run.truth.size();
-
-  // vchao_shift keeps working through the enum path for one release...
-  DataQualityMetric::Options options;
-  options.method = Method::kVChao92;
-  options.vchao_shift = 3;
-  DataQualityMetric legacy(num_items, options);
-  Feed(legacy, run.log);
-  // ...and matches its spec-string replacement exactly.
-  Result<DataQualityMetric> by_spec =
-      DataQualityMetric::Create(num_items, "vchao92?shift=3");
-  ASSERT_TRUE(by_spec.ok());
-  Feed(*by_spec, run.log);
-  EXPECT_EQ(legacy.EstimatedTotalErrors(), by_spec->EstimatedTotalErrors());
-
-  // Same for switch_config.
-  DataQualityMetric::Options switch_options;
-  switch_options.method = Method::kSwitch;
-  switch_options.switch_config.two_sided = true;
-  switch_options.switch_config.smooth_window = 5;
-  DataQualityMetric legacy_switch(num_items, switch_options);
-  Feed(legacy_switch, run.log);
-  Result<DataQualityMetric> switch_by_spec = DataQualityMetric::Create(
-      num_items, "switch?two_sided=1&smooth_window=5");
-  ASSERT_TRUE(switch_by_spec.ok());
-  Feed(*switch_by_spec, run.log);
-  EXPECT_EQ(legacy_switch.EstimatedTotalErrors(),
-            switch_by_spec->EstimatedTotalErrors());
-
-  // Options::specs wins over the enum when both are set.
-  DataQualityMetric::Options spec_options;
-  spec_options.method = Method::kNominal;
-  spec_options.specs = {"voting"};
-  DataQualityMetric spec_metric(num_items, spec_options);
-  EXPECT_EQ(spec_metric.method_name(), "VOTING");
 }
 
 TEST(ReportPipelineTest, EngineSnapshotCarriesTheFullPanel) {

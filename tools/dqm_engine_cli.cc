@@ -392,12 +392,9 @@ int main(int argc, char** argv) {
   int64_t* num_items =
       flags.AddInt("num_items", 1000, "item universe size N per dataset");
   std::string* methods = flags.AddString(
-      "methods", "",
+      "methods", "switch",
       "comma-separated estimator specs run per dataset in one pass, e.g. "
-      "switch,chao92,vchao92?shift=2 (names from the estimator registry; "
-      "default: switch)");
-  std::string* method_name = flags.AddString(
-      "method", "", "DEPRECATED single-estimator alias for --methods");
+      "switch,chao92,vchao92?shift=2 (names from the estimator registry)");
   std::string* workloads = flags.AddString(
       "workload", "",
       "comma-separated workload specs to generate and serve instead of the "
@@ -522,22 +519,7 @@ int main(int argc, char** argv) {
     dqm::crowd::io::SetRetryOptions(retry);
   }
 
-  // --method (deprecated) maps 1:1 onto a single-entry spec list; the old
-  // enum names are all registered spec names (or aliases).
-  if (!method_name->empty() && !methods->empty()) {
-    std::fprintf(stderr,
-                 "--method is a deprecated alias of --methods; pass only "
-                 "--methods\n");
-    return 1;
-  }
-  if (!method_name->empty()) {
-    std::fprintf(stderr, "note: --method is deprecated, use --methods=%s\n",
-                 method_name->c_str());
-  }
-  std::string spec_list = !method_name->empty() ? *method_name
-                          : methods->empty()    ? "switch"
-                                                : *methods;
-  std::vector<std::string> specs = dqm::estimators::SplitSpecList(spec_list);
+  std::vector<std::string> specs = dqm::estimators::SplitSpecList(*methods);
   if (specs.empty()) {
     std::fprintf(stderr, "--methods must name at least one estimator\n");
     return 1;
