@@ -1,13 +1,23 @@
 // google-benchmark microbenchmarks: the per-vote cost of every estimator,
-// the f-statistics bookkeeping, the text-similarity kernels, and candidate
-// generation. These bound the library's overhead when monitoring a live
-// crowdsourcing deployment (votes/second far beyond any crowd's rate).
+// the f-statistics bookkeeping, the text-similarity kernels, candidate
+// generation, and the durable write path's CPU work (WAL record encoding
+// and its CRC-32). These bound the library's overhead when monitoring a
+// live crowdsourcing deployment (votes/second far beyond any crowd's rate).
 
 #include <benchmark/benchmark.h>
+
+#include <unistd.h>
+
+#include <filesystem>
+#include <random>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "core/dqm.h"
 #include "core/experiment.h"
 #include "core/scenario.h"
+#include "crowd/wal.h"
 #include "dataset/restaurant_generator.h"
 #include "er/blocking.h"
 #include "estimators/chao92.h"
@@ -125,6 +135,66 @@ void BM_PermuteTasks(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PermuteTasks);
+
+// Encode + CRC of one WAL record per 512-vote batch: what VoteWal::Append
+// costs a durable commit before any write(2). The buffer is drained to the
+// file every 64 batches with the timer paused, so only encoding is timed.
+void BM_WalAppend(benchmark::State& state) {
+  constexpr size_t kBatch = 512;
+  constexpr int kBatchesPerDrain = 64;
+  const auto& events = SharedRun().log.events();
+  const std::span<const dqm::crowd::VoteEvent> batch(events.data(), kBatch);
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("dqm_bench_micro_wal_" + std::to_string(::getpid()) + ".log"))
+          .string();
+  {
+    auto wal = dqm::crowd::VoteWal::Open(path);
+    if (!wal.ok()) {
+      state.SkipWithError(wal.status().ToString().c_str());
+      return;
+    }
+    int batches = 0;
+    for (auto _ : state) {
+      wal->Append(batch);
+      benchmark::ClobberMemory();
+      if (++batches == kBatchesPerDrain) {
+        state.PauseTiming();
+        batches = 0;
+        const bool drained = wal->WriteBuffered().ok() && wal->Reset(1).ok();
+        state.ResumeTiming();
+        if (!drained) {
+          state.SkipWithError("WAL drain failed");
+          break;
+        }
+      }
+    }
+  }
+  std::filesystem::remove(path);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kBatch));
+  // Seconds per (iteration x kBatch x 1e-9) = nanoseconds per vote.
+  state.counters["ns_per_vote"] = benchmark::Counter(
+      kBatch * 1e-9,
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_WalAppend);
+
+// CRC-32 over 64 KiB blocks (a group commit's record is ~53 KiB).
+void BM_Crc32(benchmark::State& state) {
+  std::vector<uint8_t> block(64 << 10);
+  std::mt19937 rng(1);
+  for (uint8_t& byte : block) byte = static_cast<uint8_t>(rng());
+  uint32_t crc = 0;
+  for (auto _ : state) {
+    crc = dqm::crowd::Crc32(block.data(), block.size(), crc);
+    benchmark::DoNotOptimize(crc);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(block.size()));
+}
+BENCHMARK(BM_Crc32);
 
 }  // namespace
 

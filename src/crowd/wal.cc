@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <array>
+#include <bit>
 #include <cerrno>
 #include <cstring>
 #include <utility>
@@ -28,29 +29,40 @@ constexpr size_t kVoteBytes = 13;                  // 3 x u32 + vote byte
 
 constexpr uint32_t kCheckpointMagic = 0x50435144;  // "DQCP" on disk
 constexpr uint32_t kCheckpointVersion = 1;
+constexpr size_t kCheckpointFixedBytes = 57;       // through the column length
 
 constexpr uint32_t kSegmentMagic = 0x47455344;     // "DSEG" on disk
 constexpr uint32_t kSegmentVersion = 1;
 constexpr size_t kSegmentHeaderBytes = 52;         // through payload_size
 
 // --- Little-endian (de)serialization helpers -------------------------------
+//
+// Every on-disk integer is little-endian. Encoders size their output once
+// and store whole words with memcpy; a big-endian host byteswaps each word
+// first, so both hosts write and read the same bytes.
 
-void PutU32(std::vector<uint8_t>& out, uint32_t value) {
-  out.push_back(static_cast<uint8_t>(value));
-  out.push_back(static_cast<uint8_t>(value >> 8));
-  out.push_back(static_cast<uint8_t>(value >> 16));
-  out.push_back(static_cast<uint8_t>(value >> 24));
+constexpr bool kBigEndianHost = std::endian::native == std::endian::big;
+
+uint32_t ToLittleEndian(uint32_t value) {
+  if constexpr (kBigEndianHost) value = __builtin_bswap32(value);
+  return value;
 }
 
-void PutU64(std::vector<uint8_t>& out, uint64_t value) {
-  PutU32(out, static_cast<uint32_t>(value));
-  PutU32(out, static_cast<uint32_t>(value >> 32));
+uint8_t* PutU32(uint8_t* out, uint32_t value) {
+  value = ToLittleEndian(value);
+  std::memcpy(out, &value, 4);
+  return out + 4;
+}
+
+uint8_t* PutU64(uint8_t* out, uint64_t value) {
+  out = PutU32(out, static_cast<uint32_t>(value));
+  return PutU32(out, static_cast<uint32_t>(value >> 32));
 }
 
 uint32_t GetU32(const uint8_t* p) {
-  return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
-         (static_cast<uint32_t>(p[2]) << 16) |
-         (static_cast<uint32_t>(p[3]) << 24);
+  uint32_t value;
+  std::memcpy(&value, p, 4);
+  return ToLittleEndian(value);
 }
 
 uint64_t GetU64(const uint8_t* p) {
@@ -70,29 +82,46 @@ Status ErrnoError(const char* op, const std::string& path) {
 namespace io = ::dqm::crowd::io;
 namespace fpn = ::dqm::crowd::io::fpn;
 
-const std::array<uint32_t, 256>& Crc32Table() {
-  static const std::array<uint32_t, 256> table = [] {
-    std::array<uint32_t, 256> t{};
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t crc = i;
-      for (int bit = 0; bit < 8; ++bit) {
-        crc = (crc >> 1) ^ ((crc & 1) ? 0xEDB88320u : 0u);
-      }
-      t[i] = crc;
+// Slice-by-8 tables for the reflected IEEE polynomial: kCrc32Tables[0] is
+// the classic bytewise table, and kCrc32Tables[k][b] is the CRC of byte b
+// followed by k zero bytes, so eight table lookups fold eight input bytes
+// into the running CRC at once.
+using Crc32Tables = std::array<std::array<uint32_t, 256>, 8>;
+
+constexpr Crc32Tables BuildCrc32Tables() {
+  Crc32Tables t{};
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t crc = i;
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1) ? 0xEDB88320u : 0u);
     }
-    return t;
-  }();
-  return table;
+    t[0][i] = crc;
+  }
+  for (size_t k = 1; k < 8; ++k) {
+    for (uint32_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFF];
+    }
+  }
+  return t;
 }
+
+constexpr Crc32Tables kCrc32Tables = BuildCrc32Tables();
 
 }  // namespace
 
 uint32_t Crc32(const void* data, size_t size, uint32_t seed) {
-  const auto& table = Crc32Table();
+  const auto& t = kCrc32Tables;
   const uint8_t* bytes = static_cast<const uint8_t*>(data);
   uint32_t crc = ~seed;
-  for (size_t i = 0; i < size; ++i) {
-    crc = (crc >> 8) ^ table[(crc ^ bytes[i]) & 0xFF];
+  for (; size >= 8; bytes += 8, size -= 8) {
+    const uint32_t lo = GetU32(bytes) ^ crc;
+    const uint32_t hi = GetU32(bytes + 4);
+    crc = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^ t[5][(lo >> 16) & 0xFF] ^
+          t[4][lo >> 24] ^ t[3][hi & 0xFF] ^ t[2][(hi >> 8) & 0xFF] ^
+          t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
+  }
+  for (; size > 0; ++bytes, --size) {
+    crc = (crc >> 8) ^ t[0][(crc ^ *bytes) & 0xFF];
   }
   return ~crc;
 }
@@ -154,15 +183,14 @@ VoteWal& VoteWal::operator=(VoteWal&& other) noexcept {
 }
 
 Status VoteWal::WriteHeader(uint64_t generation) {
-  std::vector<uint8_t> header;
-  header.reserve(kWalHeaderBytes);
-  PutU32(header, kWalMagic);
-  PutU32(header, kWalVersion);
-  PutU64(header, generation);
+  uint8_t header[kWalHeaderBytes];
+  uint8_t* at = PutU32(header, kWalMagic);
+  at = PutU32(at, kWalVersion);
+  PutU64(at, generation);
   DQM_RETURN_NOT_OK(
-      io::WriteAll(fpn::kWalWrite, fd_, header.data(), header.size(), path_));
+      io::WriteAll(fpn::kWalWrite, fd_, header, kWalHeaderBytes, path_));
   DQM_RETURN_NOT_OK(io::Fsync(fpn::kWalFsync, fd_, path_));
-  bytes_written_ += header.size();
+  bytes_written_ += kWalHeaderBytes;
   written_size_ = kWalHeaderBytes;
   durable_size_ = kWalHeaderBytes;
   generation_ = generation;
@@ -212,26 +240,20 @@ Result<VoteWal> VoteWal::Open(const std::string& path) {
 
 void VoteWal::Append(std::span<const VoteEvent> events) {
   if (sealed_ || events.empty()) return;
-  const uint32_t count = static_cast<uint32_t>(events.size());
   const size_t payload_size = 4 + kVoteBytes * events.size();
   const size_t record_start = buffer_.size();
-  buffer_.reserve(record_start + kRecordFrameBytes + payload_size);
-  PutU32(buffer_, static_cast<uint32_t>(payload_size));
-  PutU32(buffer_, 0);  // crc placeholder, patched below
-  PutU32(buffer_, count);
+  buffer_.resize(record_start + kRecordFrameBytes + payload_size);
+  uint8_t* const record = buffer_.data() + record_start;
+  uint8_t* const payload = record + kRecordFrameBytes;
+  uint8_t* out = PutU32(payload, static_cast<uint32_t>(events.size()));
   for (const VoteEvent& event : events) {
-    PutU32(buffer_, event.task);
-    PutU32(buffer_, event.worker);
-    PutU32(buffer_, event.item);
-    buffer_.push_back(static_cast<uint8_t>(event.vote));
+    out = PutU32(out, event.task);
+    out = PutU32(out, event.worker);
+    out = PutU32(out, event.item);
+    *out++ = static_cast<uint8_t>(event.vote);
   }
-  const uint8_t* payload = buffer_.data() + record_start + kRecordFrameBytes;
-  uint32_t crc = Crc32(payload, payload_size);
-  uint8_t* crc_at = buffer_.data() + record_start + 4;
-  crc_at[0] = static_cast<uint8_t>(crc);
-  crc_at[1] = static_cast<uint8_t>(crc >> 8);
-  crc_at[2] = static_cast<uint8_t>(crc >> 16);
-  crc_at[3] = static_cast<uint8_t>(crc >> 24);
+  PutU32(record, static_cast<uint32_t>(payload_size));
+  PutU32(record + 4, Crc32(payload, payload_size));
 }
 
 void VoteWal::Seal(const Status& cause) {
@@ -432,18 +454,18 @@ Status VoteWal::Reset(uint64_t new_generation) {
 // --- WAL segments ----------------------------------------------------------
 
 void EncodeWalSegment(const WalSegment& segment, std::vector<uint8_t>& out) {
-  out.clear();
-  out.reserve(kSegmentHeaderBytes + segment.payload.size() + 4);
-  PutU32(out, kSegmentMagic);
-  PutU32(out, kSegmentVersion);
-  PutU64(out, segment.generation);
-  PutU64(out, segment.seq);
-  PutU64(out, segment.start_offset);
-  PutU64(out, segment.cum_votes);
-  PutU64(out, segment.fencing_token);
-  PutU32(out, static_cast<uint32_t>(segment.payload.size()));
-  out.insert(out.end(), segment.payload.begin(), segment.payload.end());
-  PutU32(out, Crc32(out.data(), out.size()));
+  const size_t payload_size = segment.payload.size();
+  out.resize(kSegmentHeaderBytes + payload_size + 4);
+  uint8_t* at = PutU32(out.data(), kSegmentMagic);
+  at = PutU32(at, kSegmentVersion);
+  at = PutU64(at, segment.generation);
+  at = PutU64(at, segment.seq);
+  at = PutU64(at, segment.start_offset);
+  at = PutU64(at, segment.cum_votes);
+  at = PutU64(at, segment.fencing_token);
+  at = PutU32(at, static_cast<uint32_t>(payload_size));
+  if (payload_size != 0) std::memcpy(at, segment.payload.data(), payload_size);
+  PutU32(at + payload_size, Crc32(out.data(), out.size() - 4));
 }
 
 Result<WalSegment> DecodeWalSegment(std::span<const uint8_t> bytes,
@@ -528,13 +550,23 @@ Result<CheckpointData> CheckpointFromLog(const ResponseLog& log,
 
 namespace {
 
-void PutColumn(std::vector<uint8_t>& out, const std::vector<uint32_t>& col) {
-  for (uint32_t v : col) PutU32(out, v);
+// Columns are copied whole; only a big-endian host touches each word.
+uint8_t* PutColumn(uint8_t* out, const std::vector<uint32_t>& col) {
+  if (col.empty()) return out;
+  std::memcpy(out, col.data(), 4 * col.size());
+  if constexpr (kBigEndianHost) {
+    for (size_t i = 0; i < col.size(); ++i) PutU32(out + 4 * i, col[i]);
+  }
+  return out + 4 * col.size();
 }
 
 void GetColumn(const uint8_t* data, size_t n, std::vector<uint32_t>& col) {
   col.resize(n);
-  for (size_t i = 0; i < n; ++i) col[i] = GetU32(data + 4 * i);
+  if (n == 0) return;
+  std::memcpy(col.data(), data, 4 * n);
+  if constexpr (kBigEndianHost) {
+    for (uint32_t& v : col) v = ToLittleEndian(v);
+  }
 }
 
 }  // namespace
@@ -543,27 +575,27 @@ Status WriteCheckpointFile(const std::string& path,
                            const CheckpointData& data) {
   const bool pairs = data.variant == CheckpointData::Variant::kPairs;
   const size_t n = pairs ? data.workers.size() : data.positive.size();
-  std::vector<uint8_t> bytes;
-  bytes.reserve(57 + 4 * n * (pairs ? 4 : 2) + 4);
-  PutU32(bytes, kCheckpointMagic);
-  PutU32(bytes, kCheckpointVersion);
-  PutU64(bytes, data.wal_generation);
-  PutU64(bytes, data.num_items);
-  PutU64(bytes, data.num_events);
-  PutU64(bytes, data.num_tasks);
-  PutU64(bytes, data.num_workers);
-  bytes.push_back(static_cast<uint8_t>(data.variant));
-  PutU64(bytes, n);
+  std::vector<uint8_t> bytes(kCheckpointFixedBytes + 4 * n * (pairs ? 4 : 2) +
+                             4);
+  uint8_t* at = PutU32(bytes.data(), kCheckpointMagic);
+  at = PutU32(at, kCheckpointVersion);
+  at = PutU64(at, data.wal_generation);
+  at = PutU64(at, data.num_items);
+  at = PutU64(at, data.num_events);
+  at = PutU64(at, data.num_tasks);
+  at = PutU64(at, data.num_workers);
+  *at++ = static_cast<uint8_t>(data.variant);
+  at = PutU64(at, n);
   if (pairs) {
-    PutColumn(bytes, data.workers);
-    PutColumn(bytes, data.items);
-    PutColumn(bytes, data.dirty);
-    PutColumn(bytes, data.clean);
+    at = PutColumn(at, data.workers);
+    at = PutColumn(at, data.items);
+    at = PutColumn(at, data.dirty);
+    at = PutColumn(at, data.clean);
   } else {
-    PutColumn(bytes, data.positive);
-    PutColumn(bytes, data.total);
+    at = PutColumn(at, data.positive);
+    at = PutColumn(at, data.total);
   }
-  PutU32(bytes, Crc32(bytes.data(), bytes.size()));
+  PutU32(at, Crc32(bytes.data(), bytes.size() - 4));
 
   return io::AtomicWriteFile(
       path, bytes,
@@ -596,8 +628,9 @@ Result<CheckpointData> DecodeCheckpoint(std::span<const uint8_t> bytes,
     return Status::IOError(
         StrFormat("corrupt checkpoint '%s': %s", context.c_str(), why));
   };
-  constexpr size_t kFixedBytes = 57;  // through the column length
-  if (bytes.size() < kFixedBytes + 4) return corrupt("file too short");
+  if (bytes.size() < kCheckpointFixedBytes + 4) {
+    return corrupt("file too short");
+  }
   if (Crc32(bytes.data(), bytes.size() - 4) !=
       GetU32(bytes.data() + bytes.size() - 4)) {
     return corrupt("checksum mismatch");
@@ -621,13 +654,13 @@ Result<CheckpointData> DecodeCheckpoint(std::span<const uint8_t> bytes,
   // Bound the column count before multiplying: a crafted n (e.g. 2^60 with
   // 4 columns) wraps 4*n*num_columns in uint64, slips past the equality
   // check, and turns into a giant resize instead of a corruption error.
-  if (n > (bytes.size() - kFixedBytes - 4) / (4 * num_columns)) {
+  if (n > (bytes.size() - kCheckpointFixedBytes - 4) / (4 * num_columns)) {
     return corrupt("column count exceeds file size");
   }
-  if (bytes.size() != kFixedBytes + 4 * n * num_columns + 4) {
+  if (bytes.size() != kCheckpointFixedBytes + 4 * n * num_columns + 4) {
     return corrupt("column size mismatch");
   }
-  const uint8_t* cols = bytes.data() + kFixedBytes;
+  const uint8_t* cols = bytes.data() + kCheckpointFixedBytes;
   uint64_t events = 0;
   if (data.variant == CheckpointData::Variant::kPairs) {
     GetColumn(cols + 0 * 4 * n, n, data.workers);

@@ -43,7 +43,8 @@ Status ValidateVoteBounds(uint32_t task, uint32_t worker, uint32_t item,
 /// CRC-32 (IEEE 802.3, reflected 0xEDB88320) over `size` bytes, chainable
 /// through `seed` (pass a previous return value to continue a running
 /// checksum). Guards WAL records and checkpoint files against torn writes
-/// and bit rot.
+/// and bit rot. Computed slice-by-8; the digests equal the bytewise
+/// table's, so the on-disk format is unchanged.
 uint32_t Crc32(const void* data, size_t size, uint32_t seed = 0);
 
 /// Size of the WAL file header (magic + version + generation). Record bytes

@@ -108,6 +108,7 @@ struct DurabilityMetrics {
   telemetry::Gauge* sessions_degraded;
   telemetry::Histogram* fsync_ns;
   telemetry::Histogram* checkpoint_ns;
+  telemetry::Histogram* ship_ns;
 
   DurabilityMetrics() {
     namespace names = telemetry::metric_names;
@@ -126,6 +127,7 @@ struct DurabilityMetrics {
     sessions_degraded = registry.GetGauge(names::kSessionsDegraded);
     fsync_ns = registry.GetHistogram(names::kWalFsyncNs);
     checkpoint_ns = registry.GetHistogram(names::kCheckpointWriteNs);
+    ship_ns = registry.GetHistogram(names::kReplicaShipNs);
   }
 };
 
@@ -501,6 +503,13 @@ void SessionDurability::SetShipHook(
   ship_hook_ = std::move(hook);
 }
 
+void SessionDurability::Ship(const ShipEvent& event) {
+  const bool timed = telemetry::Enabled();
+  const uint64_t start = timed ? telemetry::NowNanos() : 0;
+  ship_hook_(event);
+  if (timed) Metrics().ship_ns->Record(telemetry::NowNanos() - start);
+}
+
 Status SessionDurability::FlushLocked(bool sync) {
   DurabilityMetrics& tm = Metrics();
   const uint64_t before = wal_.bytes_written();
@@ -528,7 +537,7 @@ Status SessionDurability::FlushLocked(bool sync) {
       event.kind = ShipEvent::Kind::kWalDurable;
       event.generation = wal_.generation();
       event.durable_size = wal_.durable_size();
-      ship_hook_(event);
+      Ship(event);
     }
   }
   if (!status.ok() && !was_sealed) {
@@ -687,7 +696,7 @@ Status SessionDurability::CommitCheckpoint(
     event.generation = next_generation;
     event.durable_size = wal_.durable_size();
     event.checkpoint_votes = data->num_events;
-    ship_hook_(event);
+    Ship(event);
   }
   if (timed) tm.checkpoint_ns->Record(telemetry::NowNanos() - start);
   return Status::OK();

@@ -331,6 +331,8 @@ class SessionDurability {
   /// seal is absorbed under degrade_to_volatile.
   void EnterDegradedLocked(const Status& cause) DQM_REQUIRES(wal_mutex_);
   void RunHook(Phase phase) DQM_REQUIRES(wal_mutex_);
+  /// Runs the ship hook, timed into dqm_replica_ship_ns.
+  void Ship(const ShipEvent& event) DQM_REQUIRES(wal_mutex_);
   void StartFlusher();
   void FlusherLoop() DQM_EXCLUDES(wal_mutex_);
 

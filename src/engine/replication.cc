@@ -463,9 +463,14 @@ void SessionReplicator::GarbageCollectLocked() {
   if (!names.ok()) return;  // best effort
   for (const std::string& name : names.value()) {
     ArtifactId id = ParseArtifactName(name);
-    bool stale = (id.kind == ArtifactId::Kind::kCheckpoint ||
-                  id.kind == ArtifactId::Kind::kSegment) &&
-                 id.generation < shipped_generation_;
+    // The segments of the generation the new checkpoint supersedes stay
+    // until the next checkpoint: a standby still applying them reaches the
+    // checkpoint's vote count and moves to it in place, instead of
+    // rebuilding its session from the checkpoint.
+    bool stale = (id.kind == ArtifactId::Kind::kCheckpoint &&
+                  id.generation < shipped_generation_) ||
+                 (id.kind == ArtifactId::Kind::kSegment &&
+                  id.generation + 1 < shipped_generation_);
     if (stale) (void)transport_->Delete(name);
   }
 }
@@ -535,8 +540,15 @@ SessionOptions StandbyApplier::BuildSessionOptions() const {
   return options;
 }
 
-Status StandbyApplier::ResyncFromCheckpoint(uint64_t generation,
-                                            std::span<const uint8_t> ckpt) {
+Result<crowd::CheckpointData> StandbyApplier::FetchCheckpoint(
+    uint64_t generation) {
+  const std::string name = CheckpointArtifactName(generation);
+  DQM_ASSIGN_OR_RETURN(std::vector<uint8_t> ckpt, transport_->Get(name));
+  return crowd::DecodeCheckpoint(std::span<const uint8_t>(ckpt), name);
+}
+
+Status StandbyApplier::ResyncFromCheckpoint(
+    const crowd::CheckpointData* checkpoint) {
   const bool rebuilding = session_ != nullptr;
   if (rebuilding) {
     (void)engine_.CloseSession(manifest_.name);
@@ -558,17 +570,11 @@ Status StandbyApplier::ResyncFromCheckpoint(uint64_t generation,
           BuildSessionOptions()));
   session_ = std::move(session);
   applied_votes_ = 0;
-  if (!ckpt.empty()) {
-    DQM_ASSIGN_OR_RETURN(
-        crowd::CheckpointData data,
-        crowd::DecodeCheckpoint(ckpt, CheckpointArtifactName(generation)));
-    DQM_RETURN_NOT_OK(session_->RestoreState(data));
-    applied_votes_ = data.num_events;
-    generation = data.wal_generation;
+  if (checkpoint != nullptr) {
+    DQM_RETURN_NOT_OK(session_->RestoreState(*checkpoint));
+    applied_votes_ = checkpoint->num_events;
   }
-  applied_generation_ = generation;
-  next_seq_ = 1;
-  expected_offset_ = crowd::kWalHeaderBytes;
+  BeginGeneration(checkpoint != nullptr ? checkpoint->wal_generation : 1);
   divergent_ = false;
   opened_ = true;
   if (rebuilding) {
@@ -577,6 +583,12 @@ Status StandbyApplier::ResyncFromCheckpoint(uint64_t generation,
   }
   session_->Publish();
   return Status::OK();
+}
+
+void StandbyApplier::BeginGeneration(uint64_t generation) {
+  applied_generation_ = generation;
+  next_seq_ = 1;
+  expected_offset_ = crowd::kWalHeaderBytes;
 }
 
 void StandbyApplier::NoteDivergence(const std::string& why) {
@@ -660,7 +672,7 @@ Status StandbyApplier::Poll() {
         manifest_.name.c_str()));
   }
   const uint64_t votes_before = applied_votes_;
-  // The primary garbage-collects older generations the moment a newer
+  // The primary garbage-collects older artifacts the moment a newer
   // checkpoint ships, so an artifact this poll listed can vanish before
   // Get reads it. That is a stale listing, not a failure: list once more
   // and continue from the new listing (which holds the newer checkpoint).
@@ -682,11 +694,6 @@ Status StandbyApplier::Poll() {
 Status StandbyApplier::ApplyListing() {
   DQM_ASSIGN_OR_RETURN(std::vector<std::string> names, transport_->List());
   uint64_t best_ckpt = 0;
-  struct SegmentRef {
-    uint64_t generation;
-    uint64_t seq;
-    const std::string* name;
-  };
   std::vector<SegmentRef> segments;
   for (const std::string& name : names) {
     ArtifactId id = ParseArtifactName(name);
@@ -696,27 +703,46 @@ Status StandbyApplier::ApplyListing() {
       segments.push_back({id.generation, id.seq, &name});
     }
   }
-  // (Re)build the warm session whenever a newer checkpoint appeared, on
-  // first poll, or to heal a divergence (replaying the full shipped stream
-  // from the best checkpoint is the recovery path — identical to how a
-  // fresh standby would come up).
-  if (!opened_ || divergent_ || best_ckpt > applied_generation_) {
-    if (best_ckpt > 0) {
-      DQM_ASSIGN_OR_RETURN(std::vector<uint8_t> ckpt,
-                           transport_->Get(CheckpointArtifactName(best_ckpt)));
-      DQM_RETURN_NOT_OK(
-          ResyncFromCheckpoint(best_ckpt, std::span<const uint8_t>(ckpt)));
-    } else {
-      // No checkpoint shipped yet: the stream starts at generation 1 with
-      // an empty session.
-      DQM_RETURN_NOT_OK(ResyncFromCheckpoint(1, {}));
-    }
-  }
   std::sort(segments.begin(), segments.end(),
             [](const SegmentRef& a, const SegmentRef& b) {
               return a.generation != b.generation ? a.generation < b.generation
                                                   : a.seq < b.seq;
             });
+  // Build the warm session on first poll, and rebuild it to heal a
+  // divergence: replaying the shipped stream from the best checkpoint is
+  // exactly how a fresh standby would come up.
+  if (!opened_ || divergent_) {
+    if (best_ckpt > 0) {
+      DQM_ASSIGN_OR_RETURN(crowd::CheckpointData data,
+                           FetchCheckpoint(best_ckpt));
+      DQM_RETURN_NOT_OK(ResyncFromCheckpoint(&data));
+    } else {
+      // No checkpoint shipped yet: the stream starts at generation 1 with
+      // an empty session.
+      DQM_RETURN_NOT_OK(ResyncFromCheckpoint(nullptr));
+    }
+  }
+  // Catch up on the listed tail of the current generation first, so a
+  // newer checkpoint finds the standby holding every vote it folds in.
+  DQM_RETURN_NOT_OK(ApplySegments(segments));
+  if (best_ckpt > applied_generation_) {
+    DQM_ASSIGN_OR_RETURN(crowd::CheckpointData data,
+                         FetchCheckpoint(best_ckpt));
+    if (!divergent_ && data.num_events == applied_votes_) {
+      // Caught up: every vote the checkpoint holds was applied from the
+      // verified segment stream, in order, so the session already is that
+      // checkpoint's state. Move to its generation and keep serving from
+      // the same session instead of rebuilding it.
+      BeginGeneration(data.wal_generation);
+    } else {
+      DQM_RETURN_NOT_OK(ResyncFromCheckpoint(&data));
+    }
+    DQM_RETURN_NOT_OK(ApplySegments(segments));
+  }
+  return Status::OK();
+}
+
+Status StandbyApplier::ApplySegments(std::span<const SegmentRef> segments) {
   for (const SegmentRef& ref : segments) {
     if (divergent_) break;
     if (ref.generation < applied_generation_) continue;  // pre-GC leftovers

@@ -148,7 +148,10 @@ struct ReplicationStats {
 /// commit returns to the producer (no-lost-ack: an acknowledged vote is
 /// either shipped or counted in dqm_replica_ship_errors_total and re-shipped
 /// with the next segment), and every checkpoint ships the checkpoint file
-/// and garbage-collects artifacts of older generations.
+/// and garbage-collects older checkpoints and the segments two or more
+/// generations back (the superseded generation's segments stay, so a
+/// standby still applying them can finish and move to the checkpoint in
+/// place).
 ///
 /// Ship failures NEVER fail the primary's commit: the primary's durability
 /// is its own WAL; replication lag is surfaced through
@@ -224,9 +227,11 @@ class SessionReplicator {
 /// Promote() is called.
 ///
 /// Poll() is the replay heartbeat — call it from a timer or loop. Each call
-/// lists the transport, loads a newer checkpoint if one appeared (this is
-/// also how divergence heals), then applies pending segments in sequence
-/// order through the ordinary ingest path. Applied votes are
+/// lists the transport and applies pending segments in sequence order
+/// through the ordinary ingest path. A newer checkpoint moves the standby
+/// to its generation: in place when the standby already applied every vote
+/// it holds, otherwise (and to heal a divergence) by rebuilding the session
+/// from it. Applied votes are
 /// crash-consistent with the primary's acknowledged durable prefix:
 /// a segment is fully validated (CRC, contiguity, clean record scan)
 /// before a single vote of it is applied.
@@ -296,16 +301,36 @@ class StandbyApplier {
   /// (mirrors DqmEngine recovery: manifest stripes are pinned, 0 -> 1).
   SessionOptions BuildSessionOptions() const;
 
-  /// Closes + reopens the warm session from checkpoint artifact bytes
-  /// (empty `ckpt` = from scratch at generation `generation`).
-  Status ResyncFromCheckpoint(uint64_t generation,
-                              std::span<const uint8_t> ckpt);
+  /// One listed WAL segment artifact.
+  struct SegmentRef {
+    uint64_t generation;
+    uint64_t seq;
+    const std::string* name;
+  };
 
-  /// One pass of Poll over a single transport listing: resync from a newer
-  /// checkpoint if needed, then apply pending segments. NotFound when a
-  /// listed artifact vanished before it was read (garbage-collected by the
-  /// primary), which Poll answers with one fresh listing.
+  /// Reads and fully validates one shipped checkpoint artifact.
+  Result<crowd::CheckpointData> FetchCheckpoint(uint64_t generation);
+
+  /// Closes + reopens the warm session from a decoded checkpoint (nullptr =
+  /// from scratch at generation 1). Counted in resyncs() unless it is the
+  /// first open.
+  Status ResyncFromCheckpoint(const crowd::CheckpointData* checkpoint);
+
+  /// Expects the next segment at the start of `generation`'s WAL body.
+  void BeginGeneration(uint64_t generation);
+
+  /// One pass of Poll over a single transport listing: open or heal the
+  /// session if needed, apply the current generation's pending segments,
+  /// then move to a newer checkpoint — in place when the session already
+  /// holds every vote it folds in, by a rebuild otherwise — and apply that
+  /// generation's segments. NotFound when a listed artifact vanished before
+  /// it was read (garbage-collected by the primary), which Poll answers
+  /// with one fresh listing.
   Status ApplyListing();
+
+  /// Applies the listed segments of the current generation in sequence
+  /// order, stopping at a gap, a divergence, or a later generation.
+  Status ApplySegments(std::span<const SegmentRef> segments);
 
   /// Validates and applies one decoded segment; flags divergence and
   /// returns without applying anything on any mismatch.

@@ -123,6 +123,11 @@ inline constexpr char kReplicaLagBytes[] = "dqm_replica_lag_bytes";
 /// WAL segments shipped by primaries.
 inline constexpr char kReplicaSegmentsShippedTotal[] =
     "dqm_replica_segments_shipped_total";
+/// Wall time of each replication ship-hook call a primary's durability
+/// layer makes: after a group-commit fsync (segment ship) and after a
+/// checkpoint commit (checkpoint ship). Separates ship time from
+/// dqm_wal_fsync_ns.
+inline constexpr char kReplicaShipNs[] = "dqm_replica_ship_ns";
 /// Checkpoint artifacts shipped by primaries.
 inline constexpr char kReplicaCheckpointsShippedTotal[] =
     "dqm_replica_checkpoints_shipped_total";

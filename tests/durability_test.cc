@@ -14,6 +14,8 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <random>
 #include <span>
 #include <string>
 #include <vector>
@@ -86,6 +88,228 @@ TEST(Crc32Test, MatchesIeeeKnownAnswer) {
   // Chaining across a split must equal the one-shot digest.
   uint32_t split = crowd::Crc32("6789", 4, crowd::Crc32("12345", 5));
   EXPECT_EQ(split, 0xCBF43926u);
+}
+
+/// Bytewise table CRC-32, written out here as the reference the library's
+/// slice-by-8 `Crc32` must match digest for digest.
+uint32_t ReferenceCrc32(const uint8_t* bytes, size_t size, uint32_t seed) {
+  static const std::vector<uint32_t> table = [] {
+    std::vector<uint32_t> t(256);
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t crc = i;
+      for (int bit = 0; bit < 8; ++bit) {
+        crc = (crc >> 1) ^ ((crc & 1) ? 0xEDB88320u : 0u);
+      }
+      t[i] = crc;
+    }
+    return t;
+  }();
+  uint32_t crc = ~seed;
+  for (size_t i = 0; i < size; ++i) {
+    crc = (crc >> 8) ^ table[(crc ^ bytes[i]) & 0xFF];
+  }
+  return ~crc;
+}
+
+TEST(Crc32Test, MatchesBytewiseReferenceAtEveryLengthOffsetAndSeed) {
+  std::mt19937 rng(20161115);
+  std::vector<uint8_t> buffer((1u << 20) + 16);
+  for (uint8_t& byte : buffer) byte = static_cast<uint8_t>(rng());
+  auto check = [&](size_t offset, size_t length, uint32_t seed) {
+    const uint8_t* data = buffer.data() + offset;
+    ASSERT_EQ(crowd::Crc32(data, length, seed),
+              ReferenceCrc32(data, length, seed))
+        << "offset " << offset << " length " << length << " seed " << seed;
+  };
+  // Every length through 4 KiB, the start offset cycling through all eight
+  // alignments; every alignment for the short lengths where the bytewise
+  // tail and the 8-byte body meet.
+  for (size_t length = 0; length <= 4096; ++length) {
+    check(length % 8, length, static_cast<uint32_t>(rng()));
+  }
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t length = 0; length <= 64; ++length) {
+      check(offset, length, offset == 0 ? 0u : static_cast<uint32_t>(rng()));
+    }
+  }
+  for (size_t length : {size_t{64} << 10, (size_t{64} << 10) + 5,
+                        (size_t{1} << 20) + 3}) {
+    check(1, length, 0);
+    check(6, length, static_cast<uint32_t>(rng()));
+  }
+}
+
+TEST(Crc32Test, ChainsAcrossEverySplitPoint) {
+  std::mt19937 rng(7);
+  std::vector<uint8_t> buffer(64);
+  for (uint8_t& byte : buffer) byte = static_cast<uint8_t>(rng());
+  const uint32_t seed = static_cast<uint32_t>(rng());
+  const uint32_t whole = crowd::Crc32(buffer.data(), buffer.size(), seed);
+  EXPECT_EQ(whole, ReferenceCrc32(buffer.data(), buffer.size(), seed));
+  for (size_t split = 0; split <= buffer.size(); ++split) {
+    const uint32_t head = crowd::Crc32(buffer.data(), split, seed);
+    EXPECT_EQ(crowd::Crc32(buffer.data() + split, buffer.size() - split, head),
+              whole)
+        << "split at " << split;
+  }
+}
+
+// --- Golden on-disk bytes --------------------------------------------------
+//
+// The literals below were generated with the bytewise-table CRC and the
+// byte-at-a-time push_back encoders, before the CRC became slice-by-8 and
+// the encoders became memcpy stores. The current encoders must reproduce
+// them exactly, and the decoders must read them, so files written on
+// either side of that rewrite stay readable on the other. The vote ids use
+// four distinct bytes where the caps allow, so a byte-order slip shows.
+
+std::vector<uint8_t> ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::vector<uint8_t>(std::istreambuf_iterator<char>(in), {});
+}
+
+std::vector<VoteEvent> GoldenVotes() {
+  return {{0x0A0B0C0Du, 0x00123456u, 0x00000789u, Vote::kDirty},
+          {7u, 0x00FEDCBAu, 0u, Vote::kClean},
+          {0x0FFFFFFFu, 1u, 0x00001000u, Vote::kDirty}};
+}
+constexpr size_t kGoldenNumItems = 0x1001;
+
+// wal.log after Open (generation 1) + Append(GoldenVotes()) + WriteBuffered.
+const std::vector<uint8_t> kGoldenWal = {
+    // header: "DWAL", version 1, generation 1
+    0x44, 0x57, 0x41, 0x4c, 0x01, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00,
+    // record frame: payload size 43, CRC
+    0x2b, 0x00, 0x00, 0x00, 0xa0, 0x93, 0x13, 0x09,
+    // payload: 3 votes of task, worker, item, vote byte
+    0x03, 0x00, 0x00, 0x00, 0x0d, 0x0c, 0x0b, 0x0a, 0x56, 0x34, 0x12, 0x00,
+    0x89, 0x07, 0x00, 0x00, 0x01, 0x07, 0x00, 0x00, 0x00, 0xba, 0xdc, 0xfe,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xff, 0xff, 0xff, 0x0f, 0x01, 0x00,
+    0x00, 0x00, 0x00, 0x10, 0x00, 0x00, 0x01};
+
+// EncodeWalSegment of GoldenSegment(): the WAL record above as payload.
+const std::vector<uint8_t> kGoldenSegment = {
+    // "DSEG", version 1, generation 3, seq 2, start offset 0x1234,
+    // cumulative votes 0x0102030405, fencing token 9, payload size 51
+    0x44, 0x53, 0x45, 0x47, 0x01, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x34, 0x12, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x05, 0x04, 0x03, 0x02,
+    0x01, 0x00, 0x00, 0x00, 0x09, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x33, 0x00, 0x00, 0x00,
+    // payload
+    0x2b, 0x00, 0x00, 0x00, 0xa0, 0x93, 0x13, 0x09, 0x03, 0x00, 0x00, 0x00,
+    0x0d, 0x0c, 0x0b, 0x0a, 0x56, 0x34, 0x12, 0x00, 0x89, 0x07, 0x00, 0x00,
+    0x01, 0x07, 0x00, 0x00, 0x00, 0xba, 0xdc, 0xfe, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0xff, 0xff, 0xff, 0x0f, 0x01, 0x00, 0x00, 0x00, 0x00, 0x10,
+    0x00, 0x00, 0x01,
+    // CRC over everything above
+    0xaf, 0x35, 0x1d, 0x7b};
+
+crowd::WalSegment GoldenSegment() {
+  crowd::WalSegment segment;
+  segment.generation = 3;
+  segment.seq = 2;
+  segment.start_offset = 0x1234;
+  segment.cum_votes = 0x0102030405ull;
+  segment.fencing_token = 9;
+  segment.payload.assign(kGoldenWal.begin() + crowd::kWalHeaderBytes,
+                         kGoldenWal.end());
+  return segment;
+}
+
+// WriteCheckpointFile of GoldenCheckpoint(): a 2-slot kPairs snapshot.
+const std::vector<uint8_t> kGoldenCheckpoint = {
+    // "DQCP", version 1, wal generation 2, 10 items, 5 events, 3 tasks,
+    // 2 workers, variant kPairs, 2 slots
+    0x44, 0x51, 0x43, 0x50, 0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x0a, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    // columns: workers {0, 1}, items {3, 7}, dirty {1, 2}, clean {2, 0}
+    0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00,
+    0x07, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,
+    0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    // CRC
+    0x05, 0xa8, 0x12, 0x75};
+
+CheckpointData GoldenCheckpoint() {
+  CheckpointData data;
+  data.wal_generation = 2;
+  data.num_items = 10;
+  data.num_events = 5;
+  data.num_tasks = 3;
+  data.num_workers = 2;
+  data.variant = CheckpointData::Variant::kPairs;
+  data.workers = {0, 1};
+  data.items = {3, 7};
+  data.dirty = {1, 2};
+  data.clean = {2, 0};
+  return data;
+}
+
+TEST(GoldenBytesTest, WalRecordIsByteForByteStable) {
+  std::string path = ScratchDir("golden_wal") + "/wal.log";
+  std::vector<VoteEvent> votes = GoldenVotes();
+  {
+    auto wal = VoteWal::Open(path);
+    ASSERT_TRUE(wal.ok()) << wal.status().ToString();
+    wal->Append(votes);
+    ASSERT_TRUE(wal->WriteBuffered().ok());
+  }
+  EXPECT_EQ(ReadFileBytes(path), kGoldenWal);
+
+  // And the golden file replays to the same votes.
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(kGoldenWal.data()),
+              static_cast<std::streamsize>(kGoldenWal.size()));
+  }
+  auto wal = VoteWal::Open(path);
+  ASSERT_TRUE(wal.ok()) << wal.status().ToString();
+  VoteWal::ReplayStats stats;
+  auto replayed = CollectReplay(*wal, kGoldenNumItems, &stats);
+  ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
+  EXPECT_EQ(stats.records, 1u);
+  EXPECT_EQ(stats.torn_records, 0u);
+  EXPECT_TRUE(SameEvents(*replayed, votes));
+}
+
+TEST(GoldenBytesTest, WalSegmentIsByteForByteStable) {
+  std::vector<uint8_t> encoded = {0xde, 0xad};  // stale bytes are replaced
+  crowd::EncodeWalSegment(GoldenSegment(), encoded);
+  EXPECT_EQ(encoded, kGoldenSegment);
+
+  auto decoded = crowd::DecodeWalSegment(kGoldenSegment, "golden");
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  const crowd::WalSegment expected = GoldenSegment();
+  EXPECT_EQ(decoded->generation, expected.generation);
+  EXPECT_EQ(decoded->seq, expected.seq);
+  EXPECT_EQ(decoded->start_offset, expected.start_offset);
+  EXPECT_EQ(decoded->cum_votes, expected.cum_votes);
+  EXPECT_EQ(decoded->fencing_token, expected.fencing_token);
+  EXPECT_EQ(decoded->payload, expected.payload);
+}
+
+TEST(GoldenBytesTest, PairsCheckpointIsByteForByteStable) {
+  std::string path = ScratchDir("golden_ckpt") + "/checkpoint.bin";
+  const CheckpointData expected = GoldenCheckpoint();
+  ASSERT_TRUE(crowd::WriteCheckpointFile(path, expected).ok());
+  EXPECT_EQ(ReadFileBytes(path), kGoldenCheckpoint);
+
+  auto decoded = crowd::DecodeCheckpoint(kGoldenCheckpoint, "golden");
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->wal_generation, expected.wal_generation);
+  EXPECT_EQ(decoded->num_items, expected.num_items);
+  EXPECT_EQ(decoded->num_events, expected.num_events);
+  EXPECT_EQ(decoded->num_tasks, expected.num_tasks);
+  EXPECT_EQ(decoded->num_workers, expected.num_workers);
+  EXPECT_EQ(decoded->variant, expected.variant);
+  EXPECT_EQ(decoded->workers, expected.workers);
+  EXPECT_EQ(decoded->items, expected.items);
+  EXPECT_EQ(decoded->dirty, expected.dirty);
+  EXPECT_EQ(decoded->clean, expected.clean);
 }
 
 TEST(ValidateVoteBoundsTest, CapsAndUniverse) {

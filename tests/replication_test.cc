@@ -582,6 +582,75 @@ TEST_F(TransportFaultTest, RedeliveryAndRepollAreIdempotent) {
                      "after redelivery");
 }
 
+TEST(StandbyFastForwardTest, CaughtUpStandbyCrossesCheckpointsInPlace) {
+  PrimaryRig rig;
+  StartRig(rig, "ffwd", 64);
+  if (testing::Test::HasFatalFailure()) return;
+  DqmEngine standby_engine;
+  StandbyApplier::Options standby_options;
+  standby_options.durability_dir = ScratchDir("ffwd_standby");
+  auto applier =
+      StandbyApplier::Open(standby_engine, rig.transport, standby_options);
+  ASSERT_TRUE(applier.ok()) << applier.status().ToString();
+  const std::shared_ptr<EstimationSession> session = (*applier)->session();
+  ASSERT_NE(session, nullptr);
+
+  // Polling after every flush keeps the standby caught up. The last
+  // segment of a generation ships in the same commit as the checkpoint
+  // that supersedes it and stays listed, so the standby applies it and
+  // then holds exactly the checkpoint's votes: it moves to the new
+  // generation without closing or rebuilding its session, and readers
+  // never see the snapshot version go backwards.
+  uint64_t last_version = session->snapshot().version;
+  const uint64_t start_generation = (*applier)->applied_generation();
+  for (size_t begin = 0; begin < 224; begin += 16) {
+    IngestAndFlush(rig, begin, begin + 16);
+    ASSERT_TRUE((*applier)->Poll().ok());
+    EXPECT_EQ((*applier)->session(), session) << "after vote " << begin + 16;
+    const uint64_t version = session->snapshot().version;
+    EXPECT_GE(version, last_version) << "after vote " << begin + 16;
+    last_version = version;
+    EXPECT_EQ((*applier)->applied_votes(), begin + 16);
+  }
+  EXPECT_GE((*applier)->applied_generation(), start_generation + 2);
+  EXPECT_EQ((*applier)->resyncs(), 0u);
+  EXPECT_EQ((*applier)->divergences(), 0u);
+  ExpectPrefixParity(standby_engine, "s", rig.votes, 224, rig.num_items,
+                     "after crossing checkpoints in place");
+}
+
+TEST(ShipTelemetryTest, ShipHistogramCountsEveryFlushOnlyWithAReplicator) {
+  auto& registry = telemetry::MetricsRegistry::Global();
+  telemetry::Histogram* ship_ns =
+      registry.GetHistogram(telemetry::metric_names::kReplicaShipNs);
+  telemetry::Counter* fsyncs =
+      registry.GetCounter(telemetry::metric_names::kWalFsyncsTotal);
+
+  // Replicated primary, checkpoints off: one ship per group-commit flush.
+  PrimaryRig rig;
+  StartRig(rig, "ship_ns", 0);
+  if (testing::Test::HasFatalFailure()) return;
+  uint64_t ships_before = ship_ns->Count();
+  uint64_t fsyncs_before = fsyncs->Value();
+  IngestAndFlush(rig, 0, 160);
+  const uint64_t flushes = fsyncs->Value() - fsyncs_before;
+  EXPECT_GE(flushes, 10u);
+  EXPECT_EQ(ship_ns->Count() - ships_before, flushes);
+
+  // A durable session without a replicator flushes but never ships.
+  DqmEngine engine;
+  auto session = engine.OpenSession(
+      "plain", rig.num_items, std::span<const std::string>(Panel()),
+      DurableOptions(ScratchDir("ship_ns_plain"), 16, 0));
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  ships_before = ship_ns->Count();
+  fsyncs_before = fsyncs->Value();
+  IngestRange(engine, "plain", rig.votes, 0, 160, 16);
+  ASSERT_TRUE((*session)->FlushDurability().ok());
+  EXPECT_GE(fsyncs->Value() - fsyncs_before, 10u);
+  EXPECT_EQ(ship_ns->Count(), ships_before);
+}
+
 // ---------------------------------------------------------------------------
 // Fencing: a promoted standby owns the stream; the old primary is a zombie.
 // ---------------------------------------------------------------------------
@@ -827,7 +896,7 @@ TEST(StandbyGcRaceTest, SegmentDeletedBetweenListAndGetIsRelisted) {
   DqmEngine primary;
   auto session = primary.OpenSession(
       "s", num_items, std::span<const std::string>(Panel()),
-      DurableOptions(ScratchDir("gc_primary"), 16, 150));
+      DurableOptions(ScratchDir("gc_primary"), 16, 75));
   ASSERT_TRUE(session.ok()) << session.status().ToString();
   auto local = LocalDirTransport::Open(ScratchDir("gc_ship"));
   ASSERT_TRUE(local.ok()) << local.status().ToString();
@@ -838,12 +907,14 @@ TEST(StandbyGcRaceTest, SegmentDeletedBetweenListAndGetIsRelisted) {
   auto applier = StandbyApplier::Open(standby_engine, racing);
   ASSERT_TRUE(applier.ok()) << applier.status().ToString();
 
-  // Generation-1 segments are shipped but not yet applied.
+  // Generation-1 segments are shipped but not yet applied; checkpoint 2
+  // (crossing 75) supersedes them, and the GC keeps them one generation
+  // longer.
   IngestRange(primary, "s", votes, 0, 100, 10);
   ASSERT_TRUE((*session)->FlushDurability().ok());
   // Between the standby's List and its first segment Get, the primary
-  // crosses its checkpoint at 150: checkpoint 2 ships and the GC deletes
-  // every generation-1 artifact the standby just listed.
+  // crosses its checkpoint at 150: checkpoint 3 ships and the GC deletes
+  // every generation-1 segment the standby just listed.
   racing->before_segment_get = [&] {
     IngestRange(primary, "s", votes, 100, 200, 10);
     ASSERT_TRUE((*session)->FlushDurability().ok());
@@ -852,7 +923,7 @@ TEST(StandbyGcRaceTest, SegmentDeletedBetweenListAndGetIsRelisted) {
   ASSERT_TRUE(polled.ok()) << polled.ToString();
   EXPECT_GE(racing->vanished, 1) << "the race window was not hit";
   EXPECT_EQ((*applier)->applied_votes(), 200u);
-  EXPECT_EQ((*applier)->applied_generation(), 2u);
+  EXPECT_EQ((*applier)->applied_generation(), 3u);
   EXPECT_FALSE((*applier)->divergent());
   ExpectPrefixParity(standby_engine, "s", votes, 200, num_items,
                      "after the GC race");
