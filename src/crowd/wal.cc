@@ -622,8 +622,15 @@ Result<CheckpointData> ReadCheckpointFile(const std::string& path) {
   return DecodeCheckpoint(std::span<const uint8_t>(bytes), path);
 }
 
-Result<CheckpointData> DecodeCheckpoint(std::span<const uint8_t> bytes,
-                                        const std::string& context) {
+namespace {
+
+/// Validates a checkpoint image (magic, version, CRC, column shape, count
+/// consistency), reading its columns in place. Returns the header fields;
+/// the columns of the result stay empty, and `*columns` points at them.
+Result<CheckpointData> ParseCheckpoint(std::span<const uint8_t> bytes,
+                                       const std::string& context,
+                                       uint64_t* length,
+                                       const uint8_t** columns) {
   auto corrupt = [&context](const char* why) {
     return Status::IOError(
         StrFormat("corrupt checkpoint '%s': %s", context.c_str(), why));
@@ -661,31 +668,25 @@ Result<CheckpointData> DecodeCheckpoint(std::span<const uint8_t> bytes,
     return corrupt("column size mismatch");
   }
   const uint8_t* cols = bytes.data() + kCheckpointFixedBytes;
+  auto at = [cols, n](size_t column, size_t i) {
+    return GetU32(cols + column * 4 * n + 4 * i);
+  };
   uint64_t events = 0;
   if (data.variant == CheckpointData::Variant::kPairs) {
-    GetColumn(cols + 0 * 4 * n, n, data.workers);
-    GetColumn(cols + 1 * 4 * n, n, data.items);
-    GetColumn(cols + 2 * 4 * n, n, data.dirty);
-    GetColumn(cols + 3 * 4 * n, n, data.clean);
     for (size_t i = 0; i < n; ++i) {
       // Widened before summing so a crafted pair of ~2^31 counts cannot
       // wrap to a small value and pass the vote-count consistency check.
-      const uint64_t slot_votes =
-          static_cast<uint64_t>(data.dirty[i]) + data.clean[i];
+      const uint64_t slot_votes = static_cast<uint64_t>(at(2, i)) + at(3, i);
       if (slot_votes == 0) return corrupt("empty pair slot");
-      DQM_RETURN_NOT_OK(ValidateVoteBounds(0, data.workers[i], data.items[i],
-                                           data.num_items));
+      DQM_RETURN_NOT_OK(
+          ValidateVoteBounds(0, at(0, i), at(1, i), data.num_items));
       events += slot_votes;
     }
   } else {
     if (n != data.num_items) return corrupt("tally column length != items");
-    GetColumn(cols + 0 * 4 * n, n, data.positive);
-    GetColumn(cols + 1 * 4 * n, n, data.total);
     for (size_t i = 0; i < n; ++i) {
-      if (data.positive[i] > data.total[i]) {
-        return corrupt("positive tally exceeds total");
-      }
-      events += data.total[i];
+      if (at(0, i) > at(1, i)) return corrupt("positive tally exceeds total");
+      events += at(1, i);
     }
   }
   if (events != data.num_events) return corrupt("vote count mismatch");
@@ -695,6 +696,35 @@ Result<CheckpointData> DecodeCheckpoint(std::span<const uint8_t> bytes,
   if (data.num_tasks > static_cast<uint64_t>(kMaxTaskId) + 1 ||
       data.num_workers > static_cast<uint64_t>(kMaxWorkerId) + 1) {
     return corrupt("task/worker bound exceeds id cap");
+  }
+  *length = n;
+  *columns = cols;
+  return data;
+}
+
+}  // namespace
+
+Result<CheckpointData> VerifyCheckpoint(std::span<const uint8_t> bytes,
+                                        const std::string& context) {
+  uint64_t n;
+  const uint8_t* cols;
+  return ParseCheckpoint(bytes, context, &n, &cols);
+}
+
+Result<CheckpointData> DecodeCheckpoint(std::span<const uint8_t> bytes,
+                                        const std::string& context) {
+  uint64_t n;
+  const uint8_t* cols;
+  DQM_ASSIGN_OR_RETURN(CheckpointData data,
+                       ParseCheckpoint(bytes, context, &n, &cols));
+  if (data.variant == CheckpointData::Variant::kPairs) {
+    GetColumn(cols + 0 * 4 * n, n, data.workers);
+    GetColumn(cols + 1 * 4 * n, n, data.items);
+    GetColumn(cols + 2 * 4 * n, n, data.dirty);
+    GetColumn(cols + 3 * 4 * n, n, data.clean);
+  } else {
+    GetColumn(cols + 0 * 4 * n, n, data.positive);
+    GetColumn(cols + 1 * 4 * n, n, data.total);
   }
   return data;
 }

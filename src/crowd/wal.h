@@ -325,6 +325,13 @@ Result<CheckpointData> ReadCheckpointFile(const std::string& path);
 Result<CheckpointData> DecodeCheckpoint(std::span<const uint8_t> bytes,
                                         const std::string& context);
 
+/// Validates an in-memory checkpoint image exactly as DecodeCheckpoint does,
+/// reading its columns in place: the result carries the header fields and
+/// leaves every column empty. For callers that only need to know which
+/// generation and how many votes a checkpoint holds.
+Result<CheckpointData> VerifyCheckpoint(std::span<const uint8_t> bytes,
+                                        const std::string& context);
+
 }  // namespace dqm::crowd
 
 #endif  // DQM_CROWD_WAL_H_

@@ -390,7 +390,7 @@ Status SessionReplicator::ShipCheckpointLocked(uint64_t generation) {
                        ReadFileBytes(durability_->checkpoint_path()));
   DQM_ASSIGN_OR_RETURN(
       crowd::CheckpointData data,
-      crowd::DecodeCheckpoint(std::span<const uint8_t>(ckpt),
+      crowd::VerifyCheckpoint(std::span<const uint8_t>(ckpt),
                               durability_->checkpoint_path()));
   if (data.wal_generation < generation) {
     return Status::Internal(StrFormat(
@@ -464,9 +464,9 @@ void SessionReplicator::GarbageCollectLocked() {
   for (const std::string& name : names.value()) {
     ArtifactId id = ParseArtifactName(name);
     // The segments of the generation the new checkpoint supersedes stay
-    // until the next checkpoint: a standby still applying them reaches the
-    // checkpoint's vote count and moves to it in place, instead of
-    // rebuilding its session from the checkpoint.
+    // until the next checkpoint: a standby still applying them finishes
+    // that generation and moves on in place, instead of rebuilding its
+    // session from the checkpoint.
     bool stale = (id.kind == ArtifactId::Kind::kCheckpoint &&
                   id.generation < shipped_generation_) ||
                  (id.kind == ArtifactId::Kind::kSegment &&
@@ -722,19 +722,27 @@ Status StandbyApplier::ApplyListing() {
       DQM_RETURN_NOT_OK(ResyncFromCheckpoint(nullptr));
     }
   }
-  // Catch up on the listed tail of the current generation first, so a
-  // newer checkpoint finds the standby holding every vote it folds in.
+  // Catch up on the listed segments first: they carry the standby across
+  // every generation whose opening segment continues its vote count, and a
+  // newer checkpoint then finds it holding every vote that checkpoint folds
+  // in.
   DQM_RETURN_NOT_OK(ApplySegments(segments));
   if (best_ckpt > applied_generation_) {
-    DQM_ASSIGN_OR_RETURN(crowd::CheckpointData data,
-                         FetchCheckpoint(best_ckpt));
-    if (!divergent_ && data.num_events == applied_votes_) {
+    const std::string name = CheckpointArtifactName(best_ckpt);
+    DQM_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, transport_->Get(name));
+    DQM_ASSIGN_OR_RETURN(
+        crowd::CheckpointData header,
+        crowd::VerifyCheckpoint(std::span<const uint8_t>(bytes), name));
+    if (!divergent_ && header.num_events == applied_votes_) {
       // Caught up: every vote the checkpoint holds was applied from the
       // verified segment stream, in order, so the session already is that
       // checkpoint's state. Move to its generation and keep serving from
       // the same session instead of rebuilding it.
-      BeginGeneration(data.wal_generation);
+      BeginGeneration(header.wal_generation);
     } else {
+      DQM_ASSIGN_OR_RETURN(
+          crowd::CheckpointData data,
+          crowd::DecodeCheckpoint(std::span<const uint8_t>(bytes), name));
       DQM_RETURN_NOT_OK(ResyncFromCheckpoint(&data));
     }
     DQM_RETURN_NOT_OK(ApplySegments(segments));
@@ -746,13 +754,15 @@ Status StandbyApplier::ApplySegments(std::span<const SegmentRef> segments) {
   for (const SegmentRef& ref : segments) {
     if (divergent_) break;
     if (ref.generation < applied_generation_) continue;  // pre-GC leftovers
-    if (ref.generation > applied_generation_) {
-      // Segments from a generation whose checkpoint has not arrived yet —
-      // nothing to anchor them to; wait for the checkpoint.
+    const bool opens_next =
+        ref.generation == applied_generation_ + 1 && ref.seq == 1;
+    if (ref.generation > applied_generation_ && !opens_next) {
+      // A later generation this standby cannot anchor yet: only that
+      // generation's checkpoint can.
       break;
     }
-    if (ref.seq < next_seq_) continue;  // duplicate delivery — idempotent
-    if (ref.seq > next_seq_) {
+    if (!opens_next && ref.seq < next_seq_) continue;  // duplicate delivery
+    if (!opens_next && ref.seq > next_seq_) {
       NoteDivergence(StrFormat("gap: next shipped segment is %llu, expected "
                                "%llu",
                                static_cast<unsigned long long>(ref.seq),
@@ -770,9 +780,26 @@ Status StandbyApplier::ApplySegments(std::span<const SegmentRef> segments) {
     }
     max_cum_votes_seen_ =
         std::max(max_cum_votes_seen_, segment.value().cum_votes);
+    if (opens_next) {
+      DQM_ASSIGN_OR_RETURN(bool continues, ContinuesInto(segment.value()));
+      if (!continues) break;  // the checkpoint decides
+      BeginGeneration(ref.generation);
+    }
     DQM_RETURN_NOT_OK(ApplySegment(segment.value()));
   }
   return Status::OK();
+}
+
+Result<bool> StandbyApplier::ContinuesInto(const crowd::WalSegment& segment) {
+  if (segment.start_offset != crowd::kWalHeaderBytes) return false;
+  DQM_ASSIGN_OR_RETURN(
+      crowd::WalScanResult scan,
+      crowd::ScanWalRecords(
+          std::span<const uint8_t>(segment.payload), manifest_.num_items,
+          [](std::span<const crowd::VoteEvent>) { return Status::OK(); },
+          scan_scratch_));
+  return !scan.torn && scan.clean_end == segment.payload.size() &&
+         applied_votes_ + scan.votes == segment.cum_votes;
 }
 
 Result<StandbyApplier::PromotionReport> StandbyApplier::Promote() {

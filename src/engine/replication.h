@@ -228,9 +228,11 @@ class SessionReplicator {
 ///
 /// Poll() is the replay heartbeat — call it from a timer or loop. Each call
 /// lists the transport and applies pending segments in sequence order
-/// through the ordinary ingest path. A newer checkpoint moves the standby
+/// through the ordinary ingest path. A caught-up standby crosses into the
+/// next generation in place when that generation's first segment counts on
+/// from its applied votes. Otherwise a newer checkpoint moves the standby
 /// to its generation: in place when the standby already applied every vote
-/// it holds, otherwise (and to heal a divergence) by rebuilding the session
+/// it holds, else (and to heal a divergence) by rebuilding the session
 /// from it. Applied votes are
 /// crash-consistent with the primary's acknowledged durable prefix:
 /// a segment is fully validated (CRC, contiguity, clean record scan)
@@ -320,17 +322,25 @@ class StandbyApplier {
   void BeginGeneration(uint64_t generation);
 
   /// One pass of Poll over a single transport listing: open or heal the
-  /// session if needed, apply the current generation's pending segments,
-  /// then move to a newer checkpoint — in place when the session already
-  /// holds every vote it folds in, by a rebuild otherwise — and apply that
-  /// generation's segments. NotFound when a listed artifact vanished before
-  /// it was read (garbage-collected by the primary), which Poll answers
-  /// with one fresh listing.
+  /// session if needed, apply the pending segments, then move to a newer
+  /// checkpoint — in place when the session already holds every vote it
+  /// folds in, by a rebuild otherwise — and apply that generation's
+  /// segments. NotFound when a listed artifact vanished before it was read
+  /// (garbage-collected by the primary), which Poll answers with one fresh
+  /// listing.
   Status ApplyListing();
 
-  /// Applies the listed segments of the current generation in sequence
-  /// order, stopping at a gap, a divergence, or a later generation.
+  /// Applies the listed segments in sequence order, stopping at a gap, a
+  /// divergence, or a later generation it cannot enter. It enters the next
+  /// generation in place when that generation's first segment continues
+  /// the applied vote count, so a caught-up standby needs no checkpoint.
   Status ApplySegments(std::span<const SegmentRef> segments);
+
+  /// True when `segment`, the first of the next generation, starts that
+  /// generation's WAL body, scans clean and counts on from applied_votes():
+  /// the checkpoint between the generations folds in exactly the votes
+  /// this standby applied.
+  Result<bool> ContinuesInto(const crowd::WalSegment& segment);
 
   /// Validates and applies one decoded segment; flags divergence and
   /// returns without applying anything on any mismatch.

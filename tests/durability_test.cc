@@ -312,6 +312,44 @@ TEST(GoldenBytesTest, PairsCheckpointIsByteForByteStable) {
   EXPECT_EQ(decoded->clean, expected.clean);
 }
 
+TEST(CheckpointTest, VerifyReadsTheHeaderAndRejectsWhatDecodeRejects) {
+  auto header = crowd::VerifyCheckpoint(kGoldenCheckpoint, "golden");
+  ASSERT_TRUE(header.ok()) << header.status().ToString();
+  const CheckpointData expected = GoldenCheckpoint();
+  EXPECT_EQ(header->wal_generation, expected.wal_generation);
+  EXPECT_EQ(header->num_items, expected.num_items);
+  EXPECT_EQ(header->num_events, expected.num_events);
+  EXPECT_EQ(header->num_tasks, expected.num_tasks);
+  EXPECT_EQ(header->num_workers, expected.num_workers);
+  EXPECT_EQ(header->variant, expected.variant);
+  EXPECT_EQ(header->MemoryBytes(), 0u);
+
+  // Each damaged image gets the same verdict from both: a flipped column
+  // byte (CRC), a header that counts one vote too many and a pair slot
+  // whose item is outside the universe (both with an honest CRC).
+  auto with_crc = [](std::vector<uint8_t> bytes) {
+    const uint32_t crc = crowd::Crc32(bytes.data(), bytes.size() - 4);
+    for (int i = 0; i < 4; ++i) {
+      bytes[bytes.size() - 4 + i] = static_cast<uint8_t>(crc >> (8 * i));
+    }
+    return bytes;
+  };
+  std::vector<uint8_t> flipped = kGoldenCheckpoint;
+  flipped[60] ^= 0x01;
+  std::vector<uint8_t> miscounted = kGoldenCheckpoint;
+  miscounted[24] += 1;  // num_events, low byte
+  std::vector<uint8_t> out_of_universe = kGoldenCheckpoint;
+  out_of_universe[57 + 8] = 10;  // items[0] == num_items
+  for (const std::vector<uint8_t>& bytes :
+       {flipped, with_crc(miscounted), with_crc(out_of_universe)}) {
+    auto verified = crowd::VerifyCheckpoint(bytes, "damaged");
+    auto decoded = crowd::DecodeCheckpoint(bytes, "damaged");
+    ASSERT_FALSE(verified.ok());
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_EQ(verified.status().ToString(), decoded.status().ToString());
+  }
+}
+
 TEST(ValidateVoteBoundsTest, CapsAndUniverse) {
   EXPECT_TRUE(crowd::ValidateVoteBounds(0, 0, 0, 1).ok());
   EXPECT_TRUE(crowd::ValidateVoteBounds(crowd::kMaxTaskId,

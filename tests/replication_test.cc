@@ -851,9 +851,18 @@ class RacingTransport : public ReplicationTransport {
   }
   Result<std::vector<std::string>> List() override {
     ++lists;
-    return inner_->List();
+    Result<std::vector<std::string>> names = inner_->List();
+    if (names.ok() && hide_checkpoints) {
+      std::erase_if(names.value(), [](const std::string& name) {
+        return ParseArtifactName(name).kind == ArtifactId::Kind::kCheckpoint;
+      });
+    }
+    return names;
   }
   Result<std::vector<uint8_t>> Get(const std::string& name) override {
+    if (ParseArtifactName(name).kind == ArtifactId::Kind::kCheckpoint) {
+      ++checkpoint_gets;
+    }
     if (ParseArtifactName(name).kind == ArtifactId::Kind::kSegment) {
       if (before_segment_get) {
         std::function<void()> hook = std::move(before_segment_get);
@@ -881,12 +890,53 @@ class RacingTransport : public ReplicationTransport {
 
   std::function<void()> before_segment_get;
   bool segments_missing = false;
+  bool hide_checkpoints = false;
   int lists = 0;
   int vanished = 0;
+  int checkpoint_gets = 0;
 
  private:
   std::shared_ptr<ReplicationTransport> inner_;
 };
+
+TEST(StandbyFastForwardTest, SegmentsCarryTheStandbyPastACollectedCheckpoint) {
+  PrimaryRig rig;
+  StartRig(rig, "hop", 64);
+  if (testing::Test::HasFatalFailure()) return;
+  auto racing = std::make_shared<RacingTransport>(rig.transport);
+  DqmEngine standby_engine;
+  auto applier = StandbyApplier::Open(standby_engine, racing);
+  ASSERT_TRUE(applier.ok()) << applier.status().ToString();
+  const std::shared_ptr<EstimationSession> session = (*applier)->session();
+
+  // The standby applies all of generation 1 but lists no checkpoint, as
+  // when its listing raced the checkpoint's ship.
+  racing->hide_checkpoints = true;
+  for (size_t begin = 0; begin < 64; begin += 16) {
+    IngestAndFlush(rig, begin, begin + 16);
+  }
+  ASSERT_TRUE((*applier)->Poll().ok());
+  ASSERT_EQ((*applier)->applied_votes(), 64u);
+  ASSERT_EQ((*applier)->applied_generation(), 1u);
+
+  // Two checkpoints later checkpoint 2 is collected, but generation 2's
+  // segments stay listed: their first one counts on from the standby's 64
+  // votes, so it crosses both generations in place without reading a
+  // checkpoint.
+  racing->hide_checkpoints = false;
+  for (size_t begin = 64; begin < 176; begin += 16) {
+    IngestAndFlush(rig, begin, begin + 16);
+  }
+  ASSERT_TRUE((*applier)->Poll().ok());
+  EXPECT_EQ((*applier)->applied_votes(), 176u);
+  EXPECT_EQ((*applier)->applied_generation(), 3u);
+  EXPECT_EQ((*applier)->session(), session);
+  EXPECT_EQ((*applier)->resyncs(), 0u);
+  EXPECT_EQ((*applier)->divergences(), 0u);
+  EXPECT_EQ(racing->checkpoint_gets, 0);
+  ExpectPrefixParity(standby_engine, "s", rig.votes, 176, rig.num_items,
+                     "after crossing a collected checkpoint");
+}
 
 TEST(StandbyGcRaceTest, SegmentDeletedBetweenListAndGetIsRelisted) {
   size_t num_items = 0;
