@@ -19,6 +19,8 @@
 #include "core/scenario.h"
 #include "crowd/wal.h"
 #include "dataset/restaurant_generator.h"
+#include "engine/engine.h"
+#include "engine/session.h"
 #include "er/blocking.h"
 #include "estimators/chao92.h"
 #include "estimators/f_statistics.h"
@@ -180,6 +182,60 @@ void BM_WalAppend(benchmark::State& state) {
           benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_WalAppend);
+
+// Serialized session commit of 512-vote batches on the Product universe
+// (13,022 items): EstimationSession::AddVotes with no publish and no WAL,
+// so what is timed is validation plus the pipeline's per-vote state. A
+// tally-only panel keeps per-item tallies and the positive fingerprint; an
+// EM-VOTING panel also keeps the per-(worker, item) pair index. Each pass
+// over the 8,192-task stream opens a fresh session (timer paused), so the
+// index never outgrows one pass.
+void BM_SessionCommit(benchmark::State& state, const char* panel) {
+  constexpr size_t kBatch = 512;
+  static const auto& run = *new dqm::core::SimulatedRun(
+      dqm::core::SimulateScenario(dqm::core::ProductScenario(), 8192, 7));
+  const auto& events = run.log.events();
+  const size_t batches = events.size() / kBatch;
+  const std::vector<std::string> specs =
+      dqm::estimators::SplitSpecList(panel);
+  dqm::engine::SessionOptions options;
+  options.cadence = dqm::engine::PublishCadence::kManual;
+  options.ingest_stripes = 1;  // pins the serialized commit path
+  dqm::engine::DqmEngine engine;
+  std::shared_ptr<dqm::engine::EstimationSession> session;
+  size_t next = batches;
+  for (auto _ : state) {
+    if (next == batches) {
+      state.PauseTiming();
+      if (session != nullptr) (void)engine.CloseSession("s");
+      auto opened = engine.OpenSession("s", run.log.num_items(), specs,
+                                       options);
+      session = opened.ok() ? *opened : nullptr;
+      next = 0;
+      state.ResumeTiming();
+      if (session == nullptr) {
+        state.SkipWithError(opened.status().ToString().c_str());
+        break;
+      }
+    }
+    const dqm::Status status = session->AddVotes(
+        std::span<const dqm::crowd::VoteEvent>(&events[next * kBatch],
+                                               kBatch));
+    ++next;
+    if (!status.ok()) {
+      state.SkipWithError(status.ToString().c_str());
+      break;
+    }
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kBatch));
+  state.counters["ns_per_vote"] = benchmark::Counter(
+      kBatch * 1e-9,
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK_CAPTURE(BM_SessionCommit, tally, "chao92,vchao92?shift=2");
+BENCHMARK_CAPTURE(BM_SessionCommit, em, "em-voting");
 
 // CRC-32 over 64 KiB blocks (a group commit's record is ~53 KiB).
 void BM_Crc32(benchmark::State& state) {

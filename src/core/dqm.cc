@@ -8,26 +8,18 @@
 
 namespace dqm::core {
 
-DataQualityMetric::DataQualityMetric(size_t num_items,
-                                     crowd::RetentionPolicy retention,
-                                     PrivateTag)
-    : state_(std::make_unique<PipelineState>(num_items, retention)) {
-  state_->shared.log = &state_->log;
-}
-
-DataQualityMetric::DataQualityMetric(size_t num_items)
-    : DataQualityMetric(num_items, crowd::RetentionPolicy::kFullEvents,
-                        PrivateTag()) {
+DataQualityMetric::DataQualityMetric(size_t num_items) {
   const std::string spec = "switch";
-  Status status = AttachSpecs(std::span<const std::string>(&spec, 1));
+  Status status = Build(num_items, crowd::RetentionPolicy::kFullEvents,
+                        std::span<const std::string>(&spec, 1));
   DQM_CHECK(status.ok()) << status.ToString();
 }
 
 Result<DataQualityMetric> DataQualityMetric::Create(
     size_t num_items, std::span<const std::string> specs,
     crowd::RetentionPolicy retention) {
-  DataQualityMetric metric(num_items, retention, PrivateTag());
-  DQM_RETURN_NOT_OK(metric.AttachSpecs(specs));
+  DataQualityMetric metric{PrivateTag()};
+  DQM_RETURN_NOT_OK(metric.Build(num_items, retention, specs));
   return metric;
 }
 
@@ -45,7 +37,9 @@ Result<DataQualityMetric> DataQualityMetric::Create(
   return Create(num_items, std::span<const std::string>(specs), retention);
 }
 
-Status DataQualityMetric::AttachSpecs(std::span<const std::string> specs) {
+Status DataQualityMetric::Build(size_t num_items,
+                                crowd::RetentionPolicy retention,
+                                std::span<const std::string> specs) {
   if (specs.empty()) {
     return Status::InvalidArgument(
         "DataQualityMetric needs at least one estimator spec");
@@ -53,23 +47,27 @@ Status DataQualityMetric::AttachSpecs(std::span<const std::string> specs) {
   const estimators::EstimatorRegistry& registry =
       estimators::EstimatorRegistry::Global();
 
-  // Pass 1: parse and resolve every spec so the pipeline knows — before any
-  // estimator is built — whether the shared positive-vote fingerprint must
-  // be maintained.
+  // Pass 1: parse and resolve every spec so the pipeline knows — before the
+  // log or any estimator is built — whether the shared positive-vote
+  // fingerprint and the per-(worker, item) pair counts must be maintained.
   std::vector<estimators::EstimatorSpec> parsed;
   parsed.reserve(specs.size());
+  bool positive_f = false;
+  bool pair_counts = false;
   for (const std::string& spec : specs) {
     DQM_ASSIGN_OR_RETURN(estimators::EstimatorSpec one,
                          estimators::ParseEstimatorSpec(spec));
     DQM_ASSIGN_OR_RETURN(
         std::shared_ptr<const estimators::EstimatorRegistry::Entry> entry,
         registry.Find(one.name));
-    if (entry->wants_positive_fingerprint) state_->maintain_positive_f = true;
-    if (entry->wants_pair_counts) state_->need_pair_counts = true;
+    positive_f = positive_f || entry->wants_positive_fingerprint;
+    pair_counts = pair_counts || entry->wants_pair_counts;
     parsed.push_back(std::move(one));
   }
-  state_->shared.positive_f =
-      state_->maintain_positive_f ? &state_->positive_f : nullptr;
+  state_ = std::make_unique<PipelineState>(num_items, retention, pair_counts);
+  state_->shared.log = &state_->log;
+  state_->maintain_positive_f = positive_f;
+  state_->shared.positive_f = positive_f ? &state_->positive_f : nullptr;
 
   // Pass 2: build each estimator against the shared stats.
   estimators::EstimatorEnv env{state_->log.num_items(), &state_->shared};
@@ -94,7 +92,7 @@ void DataQualityMetric::EnableConcurrentIngest(size_t num_stripes) {
   DQM_CHECK(SupportsConcurrentIngest())
       << "panel has an order-sensitive (observing) estimator or retains "
          "full events; concurrent ingest would break it";
-  state_->log.EnableConcurrentIngest(num_stripes, state_->need_pair_counts);
+  state_->log.EnableConcurrentIngest(num_stripes);
 }
 
 void DataQualityMetric::CommitVotesConcurrent(

@@ -192,16 +192,16 @@ class DataQualityMetric {
   /// Heap-pinned pipeline state: estimators hold pointers into it, so the
   /// metric object itself stays cheaply movable.
   struct PipelineState {
-    PipelineState(size_t num_items, crowd::RetentionPolicy retention)
-        : log(num_items, retention) {}
+    PipelineState(size_t num_items, crowd::RetentionPolicy retention,
+                  bool pair_counts)
+        : log(num_items, retention, pair_counts) {}
+    /// Keeps the per-(worker, item) count matrix iff some attached
+    /// estimator reads it (EM-VOTING), on both ingest paths.
     crowd::ResponseLog log;
     /// Fingerprint of dirty votes per item, maintained iff some attached
     /// estimator wants it (see EstimatorRegistry::Entry).
     estimators::FStatistics positive_f;
     bool maintain_positive_f = false;
-    /// Some attached estimator reads the response matrix (EM-VOTING); the
-    /// striped ingest path maintains the matrix shards iff set.
-    bool need_pair_counts = false;
     estimators::SharedVoteStats shared;
   };
   struct Row {
@@ -209,12 +209,14 @@ class DataQualityMetric {
     std::unique_ptr<estimators::TotalErrorEstimator> estimator;
   };
 
-  DataQualityMetric(size_t num_items, crowd::RetentionPolicy retention,
-                    PrivateTag);
+  explicit DataQualityMetric(PrivateTag) {}
 
-  /// Builds one estimator row per spec; shared by Create and the
-  /// quickstart constructor.
-  Status AttachSpecs(std::span<const std::string> specs);
+  /// Builds the pipeline state and one estimator row per spec; shared by
+  /// Create and the quickstart constructor. What the panel's estimators
+  /// declare they read (the positive-vote fingerprint, the pair counts)
+  /// is settled before the log is built.
+  Status Build(size_t num_items, crowd::RetentionPolicy retention,
+               std::span<const std::string> specs);
 
   std::unique_ptr<PipelineState> state_;
   std::vector<Row> rows_;

@@ -127,8 +127,9 @@ Result<ExperimentRunner::WorkloadReport> ExperimentRunner::RunWorkload(
   workload::GeneratedWorkload run = generator->Generate(config_.seed);
 
   // The scoring pipeline only consumes tallies and the shared fingerprint,
-  // never arrival history (the generated run keeps that) — compacted counts
-  // keep big workload sweeps at O(#pairs) memory per scored panel.
+  // never arrival history (the generated run keeps that) — kCounts keeps
+  // big workload sweeps at O(#items) memory per tally-only scored panel
+  // (O(#pairs) with EM-VOTING).
   DQM_ASSIGN_OR_RETURN(
       DataQualityMetric metric,
       DataQualityMetric::Create(generator->num_items(), estimator_specs,

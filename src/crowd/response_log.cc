@@ -123,8 +123,12 @@ TallyScanResult ScanTallies(std::span<const uint32_t> positive,
   return result;
 }
 
-ResponseLog::ResponseLog(size_t num_items, RetentionPolicy retention)
-    : retention_(retention), positive_(num_items, 0), total_(num_items, 0) {}
+ResponseLog::ResponseLog(size_t num_items, RetentionPolicy retention,
+                         bool pair_counts)
+    : retention_(retention),
+      pair_counts_(pair_counts),
+      positive_(num_items, 0),
+      total_(num_items, 0) {}
 
 const std::vector<VoteEvent>& ResponseLog::events() const {
   // invariant: retention is fixed at construction; asking a counts-only
@@ -138,14 +142,14 @@ const std::vector<VoteEvent>& ResponseLog::events() const {
 bool ResponseLog::AppendCountMatrixBlocks(
     std::vector<const CompactedVoteStore*>& out) const {
   if (retention_ != RetentionPolicy::kCounts) return false;
+  // invariant: the consumer set was declared at pipeline construction.
+  DQM_CHECK(pair_counts_)
+      << "this log keeps no pair-count matrix; no response-matrix consumer "
+         "was declared at pipeline construction";
   if (concurrent_ == nullptr) {
     out.push_back(&compacted_);
     return true;
   }
-  // invariant: the consumer set was declared at pipeline construction.
-  DQM_CHECK(concurrent_->maintain_pair_counts)
-      << "this log was striped without pair-count maintenance; no "
-         "response-matrix consumer was declared at pipeline construction";
   for (size_t s = 0; s < concurrent_->num_stripes; ++s) {
     out.push_back(&concurrent_->stripes[s].counts);
   }
@@ -207,7 +211,7 @@ void ResponseLog::Append(const VoteEvent& event) {
   ++num_events_;
   if (retention_ == RetentionPolicy::kFullEvents) {
     events_.push_back(event);
-  } else {
+  } else if (pair_counts_) {
     compacted_.Add(event.worker, event.item, event.vote);
   }
 }
@@ -290,8 +294,7 @@ void ResponseLog::RestoreCheckpoint(const CheckpointData& data) {
       << "checkpoint columns disagree with its vote count";
 }
 
-void ResponseLog::EnableConcurrentIngest(size_t num_stripes,
-                                         bool maintain_pair_counts) {
+void ResponseLog::EnableConcurrentIngest(size_t num_stripes) {
   // invariant: striping is a construction-time wiring decision.
   DQM_CHECK(retention_ == RetentionPolicy::kCounts)
       << "concurrent ingest requires kCounts retention (there is no ordered "
@@ -315,7 +318,6 @@ void ResponseLog::EnableConcurrentIngest(size_t num_stripes,
   }
   state->stripe_shift = static_cast<uint32_t>(std::countr_zero(chunk));
   state->num_stripes = std::max<size_t>((items + chunk - 1) / chunk, 1);
-  state->maintain_pair_counts = maintain_pair_counts;
   state->stripes = std::make_unique<Stripe[]>(state->num_stripes);
   // Per-stripe lock counters, resolved once here so the reconcile-time fold
   // never takes the registry mutex per stripe stat. Stripe indices repeat
@@ -349,7 +351,7 @@ void ResponseLog::AppendConcurrent(std::span<const VoteEvent> events) {
   ConcurrentState& cs = *concurrent_;
   const uint32_t shift = cs.stripe_shift;
   const size_t num_stripes = cs.num_stripes;
-  const bool pair_counts = cs.maintain_pair_counts;
+  const bool pair_counts = pair_counts_;
 
   // Bucket the batch by stripe once, unlocked (a counting sort over event
   // indices), so each stripe's lock is held only for that stripe's own

@@ -132,8 +132,14 @@ TallyScanResult ScanTallies(std::span<const uint32_t> positive,
 class ResponseLog {
  public:
   /// `num_items` = N, the size of the record (or pair) universe.
+  /// `pair_counts` selects whether a kCounts log keeps the per-(worker,
+  /// item) count matrix, on the serialized and the striped ingest path
+  /// alike. A pipeline passes false when none of its estimators reads the
+  /// matrix (tally-only panels): a commit is then nothing but tally counter
+  /// updates and memory is O(#items). Ignored under kFullEvents.
   explicit ResponseLog(size_t num_items,
-                       RetentionPolicy retention = RetentionPolicy::kFullEvents);
+                       RetentionPolicy retention = RetentionPolicy::kFullEvents,
+                       bool pair_counts = true);
 
   size_t num_items() const { return positive_.size(); }
   size_t num_events() const { return num_events_; }
@@ -154,30 +160,31 @@ class ResponseLog {
   const std::vector<VoteEvent>& events() const;
 
   /// The compacted per-(worker, item) count matrix, maintained incrementally
-  /// under kCounts; null under kFullEvents (matrix consumers rebuild it once
-  /// per fit from events() — see DawidSkene::Workspace) and in concurrent
-  /// ingest mode, where the matrix is sharded across stripes (consume it
-  /// through AppendCountMatrixBlocks instead).
+  /// when maintains_pair_counts(); null otherwise — under kFullEvents
+  /// (matrix consumers rebuild it once per fit from events() — see
+  /// DawidSkene::Workspace), for a log built without pair counts (no
+  /// consumer exists), and in concurrent ingest mode, where the matrix is
+  /// sharded across stripes (consume it through AppendCountMatrixBlocks
+  /// instead).
   const CompactedVoteStore* compacted() const {
-    return retention_ == RetentionPolicy::kCounts && concurrent_ == nullptr
-               ? &compacted_
-               : nullptr;
+    return maintains_pair_counts() && concurrent_ == nullptr ? &compacted_
+                                                             : nullptr;
   }
 
   /// True when this log maintains a per-(worker, item) count matrix a
-  /// checkpoint can serialize: kCounts retention, minus striped logs that
-  /// opted out of pair counts (tally-only panels). Selects the snapshot
-  /// variant in crowd/wal.h's CheckpointFromLog.
+  /// checkpoint can serialize: kCounts retention built with pair counts
+  /// (the panel has a matrix consumer such as EM-VOTING), on either ingest
+  /// path. Selects the snapshot variant in crowd/wal.h's CheckpointFromLog:
+  /// kPairs when true, kTallies otherwise.
   bool maintains_pair_counts() const {
-    return retention_ == RetentionPolicy::kCounts &&
-           (concurrent_ == nullptr || concurrent_->maintain_pair_counts);
+    return retention_ == RetentionPolicy::kCounts && pair_counts_;
   }
 
   /// Appends every live count-matrix block to `out`: the single compacted
-  /// store under kCounts, one shard per stripe in concurrent ingest mode.
-  /// Returns false under kFullEvents (no matrix is maintained; rebuild from
-  /// events()). Aborts if concurrent ingest was enabled without pair-count
-  /// maintenance — there is no matrix to consume then, by construction.
+  /// store on the serialized path, one shard per stripe in concurrent
+  /// ingest mode. Returns false under kFullEvents (no matrix is maintained;
+  /// rebuild from events()). Aborts for a kCounts log built without pair
+  /// counts — there is no matrix to consume then, by construction.
   // Reads every stripe's count shard without naming its lock: callers hold
   // the PauseAndReconcile guard (all stripe locks) or run quiescent — a
   // dynamic contract the analysis cannot express.
@@ -243,11 +250,9 @@ class ResponseLog {
   /// Switches an empty kCounts log into concurrent ingest mode with at most
   /// `num_stripes` item-range stripes (clamped so every stripe spans at
   /// least one cache line of tally counters; at least one stripe always
-  /// exists). `maintain_pair_counts` selects whether each stripe keeps its
-  /// CompactedVoteStore shard — pipelines whose estimators never read the
-  /// response matrix (tally-only panels) skip it, making a commit nothing
-  /// but flat counter increments.
-  void EnableConcurrentIngest(size_t num_stripes, bool maintain_pair_counts);
+  /// exists). Each stripe keeps a CompactedVoteStore shard iff the log was
+  /// built with pair counts.
+  void EnableConcurrentIngest(size_t num_stripes);
 
   bool concurrent_ingest() const { return concurrent_ != nullptr; }
 
@@ -341,7 +346,6 @@ class ResponseLog {
   struct ConcurrentState {
     size_t num_stripes = 0;
     uint32_t stripe_shift = 0;  // stripe(item) = item >> stripe_shift
-    bool maintain_pair_counts = true;
     std::atomic<uint64_t> rotation{0};
     std::unique_ptr<Stripe[]> stripes;
     std::vector<StripeMetrics> stripe_metrics;
@@ -364,8 +368,11 @@ class ResponseLog {
   using TallyColumn = std::vector<uint32_t, CacheAlignedAllocator<uint32_t>>;
 
   RetentionPolicy retention_;
+  /// Keep the count matrix (see the constructor); fixed for the log's life.
+  bool pair_counts_;
   std::vector<VoteEvent> events_;    // kFullEvents only
-  CompactedVoteStore compacted_;     // kCounts, serialized mode only
+  /// Filled iff maintains_pair_counts(), on the serialized path only.
+  CompactedVoteStore compacted_;
   TallyColumn positive_;
   TallyColumn total_;
   uint64_t num_events_ = 0;

@@ -328,61 +328,93 @@ Status VoteWal::Sync() {
   return status;
 }
 
+namespace {
+
+/// Checks the record frame at `offset` of `body` — framing, CRC, vote
+/// bounds — and appends its votes to `out`. Returns the frame's size, or 0
+/// when the record is damaged or runs past the end of `body` (`out` may
+/// then hold some of its votes).
+size_t DecodeRecord(std::span<const uint8_t> body, size_t offset,
+                    size_t num_items, std::vector<VoteEvent>& out) {
+  const uint32_t payload_size = GetU32(body.data() + offset);
+  if (payload_size < 4 || (payload_size - 4) % kVoteBytes != 0 ||
+      payload_size > body.size() - offset - kRecordFrameBytes) {
+    return 0;  // framing damage, or record runs past end of body
+  }
+  const uint32_t stored_crc = GetU32(body.data() + offset + 4);
+  const uint8_t* payload = body.data() + offset + kRecordFrameBytes;
+  if (Crc32(payload, payload_size) != stored_crc) return 0;
+  const uint32_t count = GetU32(payload);
+  if (4 + kVoteBytes * static_cast<size_t>(count) != payload_size) return 0;
+  for (uint32_t i = 0; i < count; ++i) {
+    const uint8_t* vote = payload + 4 + kVoteBytes * static_cast<size_t>(i);
+    VoteEvent event;
+    event.task = GetU32(vote);
+    event.worker = GetU32(vote + 4);
+    event.item = GetU32(vote + 8);
+    const uint8_t vote_byte = vote[12];
+    // The same validation path the CSV reader uses: a record whose ids or
+    // vote byte fail the bounds check is treated as corruption, never fed
+    // to the pipeline.
+    if (vote_byte > 1 ||
+        !ValidateVoteBounds(event.task, event.worker, event.item, num_items)
+             .ok()) {
+      return 0;
+    }
+    event.vote = vote_byte == 1 ? Vote::kDirty : Vote::kClean;
+    out.push_back(event);
+  }
+  return kRecordFrameBytes + payload_size;
+}
+
+}  // namespace
+
 Result<WalScanResult> ScanWalRecords(
     std::span<const uint8_t> body, size_t num_items,
     const std::function<Status(std::span<const VoteEvent>)>& apply,
     std::vector<VoteEvent>& scratch) {
   WalScanResult result;
-  const size_t body_size = body.size();
   size_t offset = 0;
-  while (body_size - offset >= kRecordFrameBytes) {
-    const uint32_t payload_size = GetU32(body.data() + offset);
-    if (payload_size < 4 || (payload_size - 4) % kVoteBytes != 0 ||
-        payload_size > body_size - offset - kRecordFrameBytes) {
-      result.torn = true;  // framing damage, or record runs past end of body
-      return result;
-    }
-    const uint32_t stored_crc = GetU32(body.data() + offset + 4);
-    const uint8_t* payload = body.data() + offset + kRecordFrameBytes;
-    if (Crc32(payload, payload_size) != stored_crc) {
-      result.torn = true;
-      return result;
-    }
-    const uint32_t count = GetU32(payload);
-    if (4 + kVoteBytes * static_cast<size_t>(count) != payload_size) {
-      result.torn = true;
-      return result;
-    }
+  while (body.size() - offset >= kRecordFrameBytes) {
     scratch.clear();
-    scratch.reserve(count);
-    for (uint32_t i = 0; i < count; ++i) {
-      const uint8_t* vote = payload + 4 + kVoteBytes * static_cast<size_t>(i);
-      VoteEvent event;
-      event.task = GetU32(vote);
-      event.worker = GetU32(vote + 4);
-      event.item = GetU32(vote + 8);
-      const uint8_t vote_byte = vote[12];
-      // The same validation path the CSV reader uses: a record whose ids or
-      // vote byte fail the bounds check is treated as corruption, never fed
-      // to the pipeline.
-      if (vote_byte > 1 ||
-          !ValidateVoteBounds(event.task, event.worker, event.item, num_items)
-               .ok()) {
-        result.torn = true;
-        return result;
-      }
-      event.vote = vote_byte == 1 ? Vote::kDirty : Vote::kClean;
-      scratch.push_back(event);
+    const size_t frame = DecodeRecord(body, offset, num_items, scratch);
+    if (frame == 0) {
+      result.torn = true;
+      return result;
     }
     DQM_RETURN_NOT_OK(apply(std::span<const VoteEvent>(scratch)));
-    result.votes += count;
+    result.votes += scratch.size();
     ++result.records;
-    offset += kRecordFrameBytes + payload_size;
+    offset += frame;
     result.clean_end = offset;
   }
   // A partial trailing frame header (under kRecordFrameBytes) is a torn
   // write too.
-  result.torn = result.torn || offset < body_size;
+  result.torn = offset < body.size();
+  return result;
+}
+
+WalScanResult DecodeWalRecords(std::span<const uint8_t> body,
+                               size_t num_items, std::vector<VoteEvent>& out) {
+  out.clear();
+  // Every vote takes kVoteBytes of the body, so this one reservation covers
+  // the whole decode.
+  out.reserve(body.size() / kVoteBytes);
+  WalScanResult result;
+  size_t offset = 0;
+  while (body.size() - offset >= kRecordFrameBytes) {
+    const size_t frame = DecodeRecord(body, offset, num_items, out);
+    if (frame == 0) {
+      out.resize(result.votes);  // drop the damaged record's votes
+      result.torn = true;
+      return result;
+    }
+    result.votes = out.size();
+    ++result.records;
+    offset += frame;
+    result.clean_end = offset;
+  }
+  result.torn = offset < body.size();
   return result;
 }
 
@@ -571,13 +603,11 @@ void GetColumn(const uint8_t* data, size_t n, std::vector<uint32_t>& col) {
 
 }  // namespace
 
-Status WriteCheckpointFile(const std::string& path,
-                           const CheckpointData& data) {
+void EncodeCheckpoint(const CheckpointData& data, std::vector<uint8_t>& out) {
   const bool pairs = data.variant == CheckpointData::Variant::kPairs;
   const size_t n = pairs ? data.workers.size() : data.positive.size();
-  std::vector<uint8_t> bytes(kCheckpointFixedBytes + 4 * n * (pairs ? 4 : 2) +
-                             4);
-  uint8_t* at = PutU32(bytes.data(), kCheckpointMagic);
+  out.resize(kCheckpointFixedBytes + 4 * n * (pairs ? 4 : 2) + 4);
+  uint8_t* at = PutU32(out.data(), kCheckpointMagic);
   at = PutU32(at, kCheckpointVersion);
   at = PutU64(at, data.wal_generation);
   at = PutU64(at, data.num_items);
@@ -595,12 +625,22 @@ Status WriteCheckpointFile(const std::string& path,
     at = PutColumn(at, data.positive);
     at = PutColumn(at, data.total);
   }
-  PutU32(at, Crc32(bytes.data(), bytes.size() - 4));
+  PutU32(at, Crc32(out.data(), out.size() - 4));
+}
 
+Status WriteCheckpointFile(const std::string& path,
+                           std::span<const uint8_t> encoded) {
   return io::AtomicWriteFile(
-      path, bytes,
+      path, encoded,
       {fpn::kCheckpointOpen, fpn::kCheckpointWrite, fpn::kCheckpointFsync,
        fpn::kCheckpointRename, fpn::kCheckpointDirsync});
+}
+
+Status WriteCheckpointFile(const std::string& path,
+                           const CheckpointData& data) {
+  std::vector<uint8_t> encoded;
+  EncodeCheckpoint(data, encoded);
+  return WriteCheckpointFile(path, encoded);
 }
 
 Result<CheckpointData> ReadCheckpointFile(const std::string& path) {

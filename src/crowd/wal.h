@@ -220,6 +220,14 @@ Result<WalScanResult> ScanWalRecords(
     const std::function<Status(std::span<const VoteEvent>)>& apply,
     std::vector<VoteEvent>& scratch);
 
+/// Decodes every intact record of `body` into `out` (cleared first) in one
+/// pass, with ScanWalRecords' checks (framing, CRC, vote bounds), stopping
+/// at the first damaged or incomplete record. `out` then holds exactly the
+/// `votes` of the records before `clean_end` — for a caller that applies a
+/// body whole or not at all, as the standby does with a shipped segment.
+WalScanResult DecodeWalRecords(std::span<const uint8_t> body,
+                               size_t num_items, std::vector<VoteEvent>& out);
+
 // ---------------------------------------------------------------------------
 // WAL segments — the unit of replication shipping.
 //
@@ -257,14 +265,17 @@ Result<WalSegment> DecodeWalSegment(std::span<const uint8_t> bytes,
                                     const std::string& context);
 
 // ---------------------------------------------------------------------------
-// Checkpoints — the kCounts CompactedVoteStore state as a snapshot format.
+// Checkpoints — the kCounts log state as a snapshot format.
 //
 // A checkpoint serializes exactly the state a kCounts retention log keeps:
 // either the compacted per-(worker, item) count matrix in its reproducible
-// first-arrival slot order (kPairs — serialized kCounts logs and striped
-// logs that maintain pair counts, shards concatenated in stripe order), or
-// the per-item tally columns (kTallies — striped tally-only panels, which
-// by construction have no matrix consumer). Restoring writes the columns
+// first-arrival slot order (kPairs — logs that maintain pair counts, i.e.
+// panels with EM-VOTING; a striped log's shards are concatenated in stripe
+// order), or the per-item tally columns (kTallies — tally-only panels on
+// either commit path, which by construction have no matrix consumer). A
+// kPairs checkpoint also restores into a tally-only log (its pairs fold
+// into the tallies), so checkpoints written before tally-only serialized
+// logs dropped the matrix still recover. Restoring writes the columns
 // straight back into an empty log (ResponseLog::RestoreCheckpoint, reached
 // through core::DataQualityMetric::RestoreCheckpoint) in O(#pairs +
 // #items): slots are re-added in checkpoint order, so every store and
@@ -309,8 +320,16 @@ struct CheckpointData {
 Result<CheckpointData> CheckpointFromLog(const ResponseLog& log,
                                          uint64_t wal_generation);
 
-/// Atomically writes `data` to `path`: serialize + CRC into `path`.tmp,
-/// fsync, rename over `path`, fsync the parent directory.
+/// Serializes `data` (header + columns + CRC) into `out` (resized to fit):
+/// the checkpoint file image WriteCheckpointFile commits and a replicator
+/// ships.
+void EncodeCheckpoint(const CheckpointData& data, std::vector<uint8_t>& out);
+
+/// Atomically writes an EncodeCheckpoint image to `path`: write
+/// `path`.tmp, fsync, rename over `path`, fsync the parent directory.
+Status WriteCheckpointFile(const std::string& path,
+                           std::span<const uint8_t> encoded);
+/// EncodeCheckpoint + WriteCheckpointFile.
 Status WriteCheckpointFile(const std::string& path, const CheckpointData& data);
 
 /// Reads + fully validates a checkpoint (magic, version, CRC, column shape,

@@ -663,13 +663,13 @@ Status SessionDurability::CommitCheckpoint(
   const uint64_t next_generation = wal_.generation() + 1;
   Result<crowd::CheckpointData> data = build(next_generation);
   if (!data.ok()) return data.status();
-  DQM_RETURN_NOT_OK(crowd::WriteCheckpointFile(checkpoint_path(), *data));
+  // Encoded once: the same bytes are committed here and shipped below.
+  std::vector<uint8_t> encoded;
+  crowd::EncodeCheckpoint(*data, encoded);
+  DQM_RETURN_NOT_OK(crowd::WriteCheckpointFile(checkpoint_path(), encoded));
   tm.checkpoints->Increment();
   if (checkpoint_bytes_gauge_ != nullptr) {
-    struct stat st;
-    if (::stat(checkpoint_path().c_str(), &st) == 0) {
-      checkpoint_bytes_gauge_->Set(static_cast<double>(st.st_size));
-    }
+    checkpoint_bytes_gauge_->Set(static_cast<double>(encoded.size()));
   }
   RunHook(Phase::kCheckpointWrite);
   // A crash here leaves checkpoint generation G+1 next to a WAL at G —
@@ -696,6 +696,7 @@ Status SessionDurability::CommitCheckpoint(
     event.generation = next_generation;
     event.durable_size = wal_.durable_size();
     event.checkpoint_votes = data->num_events;
+    event.checkpoint_bytes = encoded;
     Ship(event);
   }
   if (timed) tm.checkpoint_ns->Record(telemetry::NowNanos() - start);

@@ -265,7 +265,8 @@ class SessionDurability {
       /// `durable_size` are durable and eligible for shipping.
       kWalDurable,
       /// A checkpoint was rename-committed and the WAL reset to
-      /// `generation`; `checkpoint_votes` is the snapshot's num_events.
+      /// `generation`; `checkpoint_votes` is the snapshot's num_events and
+      /// `checkpoint_bytes` the file image just written.
       kCheckpoint,
     };
     Kind kind = Kind::kWalDurable;
@@ -273,6 +274,9 @@ class SessionDurability {
     /// WAL file size (including the header) covered by the last fsync.
     uint64_t durable_size = 0;
     uint64_t checkpoint_votes = 0;
+    /// kCheckpoint: the encoded checkpoint (crowd::EncodeCheckpoint), valid
+    /// only while the hook runs — a hook that needs it later copies it.
+    std::span<const uint8_t> checkpoint_bytes;
   };
 
   /// Installs (or clears, with nullptr) the replication ship hook. Ship

@@ -121,8 +121,9 @@ Result<std::shared_ptr<EstimationSession>> DqmEngine::OpenSession(
   // the pipeline construction, and a typo'd spec never half-opens a
   // session.
   DQM_RETURN_NOT_OK(PrecheckName(name));
-  // Serving retention default: sessions hold the compacted count matrix,
-  // not the raw vote history (memory O(#pairs), not O(#votes)).
+  // Serving retention default: sessions hold per-item tallies, plus the
+  // compacted count matrix when the panel reads it (EM-VOTING), never the
+  // raw vote history (memory O(#items) or O(#pairs), not O(#votes)).
   DQM_ASSIGN_OR_RETURN(
       core::DataQualityMetric metric,
       core::DataQualityMetric::Create(num_items, specs,

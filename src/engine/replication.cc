@@ -294,21 +294,7 @@ Result<std::unique_ptr<SessionReplicator>> SessionReplicator::Start(
     replicator->shipped_offset_ = crowd::kWalHeaderBytes;
     std::error_code ec;
     if (fs::exists(durability->checkpoint_path(), ec)) {
-      DQM_ASSIGN_OR_RETURN(std::vector<uint8_t> ckpt,
-                           ReadFileBytes(durability->checkpoint_path()));
-      DQM_ASSIGN_OR_RETURN(
-          crowd::CheckpointData data,
-          crowd::DecodeCheckpoint(std::span<const uint8_t>(ckpt),
-                                  durability->checkpoint_path()));
-      DQM_RETURN_NOT_OK(replicator->transport_->Put(
-          CheckpointArtifactName(data.wal_generation),
-          std::span<const uint8_t>(ckpt), replicator->fencing_token_));
-      replicator->stats_.checkpoints_shipped++;
-      CounterFor(telemetry::metric_names::kReplicaCheckpointsShippedTotal)
-          .Increment();
-      replicator->shipped_votes_ = data.num_events;
-      replicator->shipped_generation_ =
-          std::max(replicator->shipped_generation_, data.wal_generation);
+      DQM_RETURN_NOT_OK(replicator->ShipCheckpointFileLocked());
     }
     if (replicator->shipped_generation_ == wal_generation) {
       DQM_RETURN_NOT_OK(replicator->ShipSegmentLocked(
@@ -325,11 +311,18 @@ Result<std::unique_ptr<SessionReplicator>> SessionReplicator::Start(
         raw->OnShipEvent(event);
       });
   // Cover anything that became durable between the initial sync and the
-  // hook install (the ship path is offset-based, so replays are no-ops).
+  // hook install (the ship path is offset-based, so replays are no-ops). A
+  // checkpoint committed in that window fired no hook: ship it from disk.
   SessionDurability::ShipEvent catch_up;
   catch_up.kind = SessionDurability::ShipEvent::Kind::kWalDurable;
   catch_up.generation = durability->WalGeneration();
   catch_up.durable_size = durability->DurableWalSize();
+  {
+    MutexLock lock(raw->mutex_);
+    if (catch_up.generation > raw->shipped_generation_) {
+      DQM_RETURN_NOT_OK(raw->ShipCheckpointFileLocked());
+    }
+  }
   raw->OnShipEvent(catch_up);
   return replicator;
 }
@@ -359,7 +352,26 @@ ReplicationStats SessionReplicator::stats() const {
 void SessionReplicator::OnShipEvent(const SessionDurability::ShipEvent& event) {
   MutexLock lock(mutex_);
   if (stopped_) return;
-  Status status = ShipCheckpointLocked(event.generation);
+  Status status;
+  if (event.kind == SessionDurability::ShipEvent::Kind::kCheckpoint) {
+    unshipped_checkpoint_ = {};  // superseded by this one
+    if (event.generation > shipped_generation_) {
+      status = ShipCheckpointLocked(event.generation, event.checkpoint_votes,
+                                    event.checkpoint_bytes);
+      if (!status.ok()) {
+        // The event's bytes die with this call; keep a copy for the next
+        // event to re-ship.
+        unshipped_checkpoint_.assign(event.checkpoint_bytes.begin(),
+                                     event.checkpoint_bytes.end());
+        unshipped_generation_ = event.generation;
+        unshipped_votes_ = event.checkpoint_votes;
+      }
+    }
+  } else if (!unshipped_checkpoint_.empty()) {
+    status = ShipCheckpointLocked(unshipped_generation_, unshipped_votes_,
+                                  unshipped_checkpoint_);
+    if (status.ok()) unshipped_checkpoint_ = {};
+  }
   if (status.ok() && event.generation == shipped_generation_) {
     status = ShipSegmentLocked(event.generation, event.durable_size);
   }
@@ -382,35 +394,29 @@ void SessionReplicator::OnShipEvent(const SessionDurability::ShipEvent& event) {
                      : 0.0);
 }
 
-Status SessionReplicator::ShipCheckpointLocked(uint64_t generation) {
-  if (generation == shipped_generation_) return Status::OK();
-  // A checkpoint rename-committed before the WAL reset that bumped the
-  // generation, so the file we read is at least `generation`.
-  DQM_ASSIGN_OR_RETURN(std::vector<uint8_t> ckpt,
-                       ReadFileBytes(durability_->checkpoint_path()));
-  DQM_ASSIGN_OR_RETURN(
-      crowd::CheckpointData data,
-      crowd::VerifyCheckpoint(std::span<const uint8_t>(ckpt),
-                              durability_->checkpoint_path()));
-  if (data.wal_generation < generation) {
-    return Status::Internal(StrFormat(
-        "checkpoint file carries generation %llu but the WAL advanced to "
-        "%llu",
-        static_cast<unsigned long long>(data.wal_generation),
-        static_cast<unsigned long long>(generation)));
-  }
-  DQM_RETURN_NOT_OK(transport_->Put(CheckpointArtifactName(data.wal_generation),
-                                    std::span<const uint8_t>(ckpt),
+Status SessionReplicator::ShipCheckpointLocked(
+    uint64_t generation, uint64_t votes, std::span<const uint8_t> bytes) {
+  DQM_RETURN_NOT_OK(transport_->Put(CheckpointArtifactName(generation), bytes,
                                     fencing_token_));
-  shipped_generation_ = data.wal_generation;
+  shipped_generation_ = generation;
   shipped_offset_ = crowd::kWalHeaderBytes;
   next_seq_ = 1;
-  shipped_votes_ = data.num_events;
+  shipped_votes_ = votes;
   stats_.checkpoints_shipped++;
   CounterFor(telemetry::metric_names::kReplicaCheckpointsShippedTotal)
       .Increment();
   GarbageCollectLocked();
   return Status::OK();
+}
+
+Status SessionReplicator::ShipCheckpointFileLocked() {
+  DQM_ASSIGN_OR_RETURN(std::vector<uint8_t> ckpt,
+                       ReadFileBytes(durability_->checkpoint_path()));
+  DQM_ASSIGN_OR_RETURN(
+      crowd::CheckpointData header,
+      crowd::VerifyCheckpoint(std::span<const uint8_t>(ckpt),
+                              durability_->checkpoint_path()));
+  return ShipCheckpointLocked(header.wal_generation, header.num_events, ckpt);
 }
 
 Status SessionReplicator::ShipSegmentLocked(uint64_t generation,
@@ -601,7 +607,8 @@ void StandbyApplier::NoteDivergence(const std::string& why) {
                    << ") — holding applies until a checkpoint resync";
 }
 
-Status StandbyApplier::ApplySegment(const crowd::WalSegment& segment) {
+Status StandbyApplier::ApplySegment(const crowd::WalSegment& segment,
+                                    const crowd::WalScanResult& scan) {
   if (segment.generation != applied_generation_) {
     NoteDivergence(StrFormat(
         "segment content says generation %llu, expected %llu",
@@ -622,40 +629,27 @@ Status StandbyApplier::ApplySegment(const crowd::WalSegment& segment) {
         static_cast<unsigned long long>(expected_offset_)));
     return Status::OK();
   }
-  // Validate end to end BEFORE applying a single vote: a shipped segment is
-  // applied whole or not at all — a torn tail means a torn artifact, never
-  // a silently shortened one.
-  DQM_ASSIGN_OR_RETURN(
-      crowd::WalScanResult precheck,
-      crowd::ScanWalRecords(
-          std::span<const uint8_t>(segment.payload), manifest_.num_items,
-          [](std::span<const crowd::VoteEvent>) { return Status::OK(); },
-          scan_scratch_));
-  if (precheck.torn || precheck.clean_end != segment.payload.size()) {
+  // The whole payload was validated while it was decoded: a shipped
+  // segment is applied whole or not at all — a torn tail means a torn
+  // artifact, never a silently shortened one.
+  if (scan.torn || scan.clean_end != segment.payload.size()) {
     NoteDivergence(StrFormat(
         "segment %llu payload is torn after %llu clean bytes of %llu",
         static_cast<unsigned long long>(segment.seq),
-        static_cast<unsigned long long>(precheck.clean_end),
+        static_cast<unsigned long long>(scan.clean_end),
         static_cast<unsigned long long>(segment.payload.size())));
     return Status::OK();
   }
-  if (applied_votes_ + precheck.votes != segment.cum_votes) {
+  if (applied_votes_ + scan.votes != segment.cum_votes) {
     NoteDivergence(StrFormat(
         "segment %llu claims cumulative %llu votes, replica computes %llu",
         static_cast<unsigned long long>(segment.seq),
         static_cast<unsigned long long>(segment.cum_votes),
-        static_cast<unsigned long long>(applied_votes_ + precheck.votes)));
+        static_cast<unsigned long long>(applied_votes_ + scan.votes)));
     return Status::OK();
   }
-  DQM_ASSIGN_OR_RETURN(
-      crowd::WalScanResult applied,
-      crowd::ScanWalRecords(
-          std::span<const uint8_t>(segment.payload), manifest_.num_items,
-          [this](std::span<const crowd::VoteEvent> votes) {
-            return session_->AddVotes(votes);
-          },
-          scan_scratch_));
-  (void)applied;
+  DQM_RETURN_NOT_OK(
+      session_->AddVotes(std::span<const crowd::VoteEvent>(decoded_)));
   applied_votes_ = segment.cum_votes;
   expected_offset_ = segment.start_offset + segment.payload.size();
   next_seq_++;
@@ -780,26 +774,26 @@ Status StandbyApplier::ApplySegments(std::span<const SegmentRef> segments) {
     }
     max_cum_votes_seen_ =
         std::max(max_cum_votes_seen_, segment.value().cum_votes);
+    // The one pass over the records: framing, CRC and bounds checked, the
+    // votes decoded into decoded_ for ApplySegment.
+    const crowd::WalScanResult scan = crowd::DecodeWalRecords(
+        std::span<const uint8_t>(segment.value().payload),
+        manifest_.num_items, decoded_);
     if (opens_next) {
-      DQM_ASSIGN_OR_RETURN(bool continues, ContinuesInto(segment.value()));
-      if (!continues) break;  // the checkpoint decides
+      // The checkpoint between the generations folds in exactly the votes
+      // this standby applied when the next generation's first segment
+      // starts its WAL body, scans clean and counts on from them; else the
+      // checkpoint decides.
+      const bool continues =
+          segment.value().start_offset == crowd::kWalHeaderBytes &&
+          !scan.torn && scan.clean_end == segment.value().payload.size() &&
+          applied_votes_ + scan.votes == segment.value().cum_votes;
+      if (!continues) break;
       BeginGeneration(ref.generation);
     }
-    DQM_RETURN_NOT_OK(ApplySegment(segment.value()));
+    DQM_RETURN_NOT_OK(ApplySegment(segment.value(), scan));
   }
   return Status::OK();
-}
-
-Result<bool> StandbyApplier::ContinuesInto(const crowd::WalSegment& segment) {
-  if (segment.start_offset != crowd::kWalHeaderBytes) return false;
-  DQM_ASSIGN_OR_RETURN(
-      crowd::WalScanResult scan,
-      crowd::ScanWalRecords(
-          std::span<const uint8_t>(segment.payload), manifest_.num_items,
-          [](std::span<const crowd::VoteEvent>) { return Status::OK(); },
-          scan_scratch_));
-  return !scan.torn && scan.clean_end == segment.payload.size() &&
-         applied_votes_ + scan.votes == segment.cum_votes;
 }
 
 Result<StandbyApplier::PromotionReport> StandbyApplier::Promote() {

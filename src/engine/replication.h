@@ -147,8 +147,9 @@ struct ReplicationStats {
 /// ships the newly durable WAL bytes as the next segment *before* the
 /// commit returns to the producer (no-lost-ack: an acknowledged vote is
 /// either shipped or counted in dqm_replica_ship_errors_total and re-shipped
-/// with the next segment), and every checkpoint ships the checkpoint file
-/// and garbage-collects older checkpoints and the segments two or more
+/// with the next segment), and every checkpoint ships the bytes
+/// CommitCheckpoint just encoded and wrote (no read-back of the file) and
+/// garbage-collects older checkpoints and the segments two or more
 /// generations back (the superseded generation's segments stay, so a
 /// standby still applying them can finish and move to the checkpoint in
 /// place).
@@ -190,10 +191,15 @@ class SessionReplicator {
   void OnShipEvent(const SessionDurability::ShipEvent& event)
       DQM_EXCLUDES(mutex_);
 
-  /// (Re)ships the current checkpoint file and rebases the segment cursor
-  /// onto its generation. No-op when already on `generation`.
-  Status ShipCheckpointLocked(uint64_t generation)
+  /// Ships an encoded checkpoint of `generation` holding `votes` votes and
+  /// rebases the segment cursor onto its generation.
+  Status ShipCheckpointLocked(uint64_t generation, uint64_t votes,
+                              std::span<const uint8_t> bytes)
       DQM_REQUIRES(mutex_);
+
+  /// Reads, verifies and ships the primary's checkpoint file — for Start,
+  /// which runs outside the ship hook that hands over a checkpoint's bytes.
+  Status ShipCheckpointFileLocked() DQM_REQUIRES(mutex_);
 
   /// Ships WAL bytes [shipped_offset_, durable_size) as the next segment.
   Status ShipSegmentLocked(uint64_t generation, uint64_t durable_size)
@@ -219,6 +225,11 @@ class SessionReplicator {
   uint64_t shipped_votes_ DQM_GUARDED_BY(mutex_) = 0;
   ReplicationStats stats_ DQM_GUARDED_BY(mutex_);
   std::vector<crowd::VoteEvent> scan_scratch_ DQM_GUARDED_BY(mutex_);
+  /// A checkpoint whose ship failed (copied out of its event), re-shipped
+  /// with the next durability event; empty when none is pending.
+  std::vector<uint8_t> unshipped_checkpoint_ DQM_GUARDED_BY(mutex_);
+  uint64_t unshipped_generation_ DQM_GUARDED_BY(mutex_) = 0;
+  uint64_t unshipped_votes_ DQM_GUARDED_BY(mutex_) = 0;
   bool stopped_ = false;
 };
 
@@ -336,15 +347,12 @@ class StandbyApplier {
   /// the applied vote count, so a caught-up standby needs no checkpoint.
   Status ApplySegments(std::span<const SegmentRef> segments);
 
-  /// True when `segment`, the first of the next generation, starts that
-  /// generation's WAL body, scans clean and counts on from applied_votes():
-  /// the checkpoint between the generations folds in exactly the votes
-  /// this standby applied.
-  Result<bool> ContinuesInto(const crowd::WalSegment& segment);
-
-  /// Validates and applies one decoded segment; flags divergence and
-  /// returns without applying anything on any mismatch.
-  Status ApplySegment(const crowd::WalSegment& segment);
+  /// Validates one decoded segment — its position, and `scan`, the result
+  /// of decoding its records into decoded_ — and applies decoded_ with one
+  /// AddVotes; flags divergence and returns without applying anything on
+  /// any mismatch.
+  Status ApplySegment(const crowd::WalSegment& segment,
+                      const crowd::WalScanResult& scan);
 
   void NoteDivergence(const std::string& why);
 
@@ -370,7 +378,8 @@ class StandbyApplier {
   /// basis for the lag gauge.
   uint64_t max_cum_votes_seen_ = 0;
 
-  std::vector<crowd::VoteEvent> scan_scratch_;
+  /// The votes of the segment being applied (DecodeWalRecords output).
+  std::vector<crowd::VoteEvent> decoded_;
 };
 
 }  // namespace dqm::engine

@@ -120,7 +120,7 @@ TEST(DawidSkeneTest, StripedLogFitTracksSerialFit) {
   constexpr size_t kItems = 60;
   ResponseLog serial(kItems, RetentionPolicy::kCounts);
   ResponseLog striped(kItems, RetentionPolicy::kCounts);
-  striped.EnableConcurrentIngest(4, /*maintain_pair_counts=*/true);
+  striped.EnableConcurrentIngest(4);
   Rng rng(23);
   std::vector<VoteEvent> events;
   for (uint32_t e = 0; e < 1500; ++e) {

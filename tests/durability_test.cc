@@ -312,6 +312,32 @@ TEST(GoldenBytesTest, PairsCheckpointIsByteForByteStable) {
   EXPECT_EQ(decoded->clean, expected.clean);
 }
 
+TEST(CheckpointTest, EncodeCheckpointIsTheFileImage) {
+  std::vector<uint8_t> encoded = {0xde, 0xad};  // stale bytes are replaced
+  crowd::EncodeCheckpoint(GoldenCheckpoint(), encoded);
+  EXPECT_EQ(encoded, kGoldenCheckpoint);
+
+  CheckpointData tallies;
+  tallies.wal_generation = 4;
+  tallies.num_items = 3;
+  tallies.num_events = 5;
+  tallies.num_tasks = 2;
+  tallies.num_workers = 2;
+  tallies.variant = CheckpointData::Variant::kTallies;
+  tallies.positive = {1, 0, 2};
+  tallies.total = {2, 1, 2};
+  crowd::EncodeCheckpoint(tallies, encoded);
+  const std::string path = ScratchDir("encoded_ckpt") + "/checkpoint.bin";
+  ASSERT_TRUE(crowd::WriteCheckpointFile(path, encoded).ok());
+  EXPECT_EQ(ReadFileBytes(path), encoded);
+  auto decoded = crowd::DecodeCheckpoint(encoded, "tallies");
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->variant, CheckpointData::Variant::kTallies);
+  EXPECT_EQ(decoded->num_events, 5u);
+  EXPECT_EQ(decoded->positive, tallies.positive);
+  EXPECT_EQ(decoded->total, tallies.total);
+}
+
 TEST(CheckpointTest, VerifyReadsTheHeaderAndRejectsWhatDecodeRejects) {
   auto header = crowd::VerifyCheckpoint(kGoldenCheckpoint, "golden");
   ASSERT_TRUE(header.ok()) << header.status().ToString();
@@ -483,6 +509,66 @@ TEST(VoteWalTest, OutOfBoundsVoteInTailIsRejectedAsTorn) {
   ASSERT_TRUE(replayed.ok());
   EXPECT_EQ(stats.votes, 10u);
   EXPECT_EQ(stats.torn_records, 1u);
+}
+
+TEST(WalScanTest, DecodeWalRecordsMatchesScanAndDropsADamagedRecord) {
+  constexpr size_t kItems = 11;
+  std::string path = ScratchDir("decode_records") + "/wal.log";
+  const std::vector<VoteEvent> votes = MakeVotes(30, kItems);
+  {
+    auto wal = VoteWal::Open(path);
+    ASSERT_TRUE(wal.ok()) << wal.status().ToString();
+    for (size_t begin = 0; begin < votes.size(); begin += 10) {
+      wal->Append(std::span<const VoteEvent>(&votes[begin], 10));
+    }
+    ASSERT_TRUE(wal->WriteBuffered().ok());
+  }
+  const std::vector<uint8_t> file = ReadFileBytes(path);
+  const std::vector<uint8_t> body(file.begin() + crowd::kWalHeaderBytes,
+                                  file.end());
+  const size_t record_bytes = body.size() / 3;
+
+  std::vector<VoteEvent> decoded = {votes[3]};  // stale votes are replaced
+  crowd::WalScanResult scan =
+      crowd::DecodeWalRecords(body, kItems, decoded);
+  EXPECT_FALSE(scan.torn);
+  EXPECT_EQ(scan.records, 3u);
+  EXPECT_EQ(scan.votes, votes.size());
+  EXPECT_EQ(scan.clean_end, body.size());
+  EXPECT_TRUE(SameEvents(decoded, votes));
+
+  // Same verdict and votes as the per-record scan.
+  std::vector<VoteEvent> scanned;
+  std::vector<VoteEvent> scratch;
+  auto per_record = crowd::ScanWalRecords(
+      body, kItems,
+      [&scanned](std::span<const VoteEvent> batch) {
+        scanned.insert(scanned.end(), batch.begin(), batch.end());
+        return Status::OK();
+      },
+      scratch);
+  ASSERT_TRUE(per_record.ok()) << per_record.status().ToString();
+  EXPECT_EQ(per_record->votes, scan.votes);
+  EXPECT_TRUE(SameEvents(scanned, decoded));
+
+  // A cut inside the third record, a flipped vote byte in it (CRC) and an
+  // item outside the universe all stop at the end of the second record and
+  // keep exactly its votes.
+  const std::vector<VoteEvent> clean(votes.begin(), votes.begin() + 20);
+  std::vector<uint8_t> cut(body.begin(), body.end() - 5);
+  std::vector<uint8_t> flipped = body;
+  flipped[2 * record_bytes + 20] ^= 0x01;
+  for (const std::vector<uint8_t>& damaged : {cut, flipped}) {
+    scan = crowd::DecodeWalRecords(damaged, kItems, decoded);
+    EXPECT_TRUE(scan.torn);
+    EXPECT_EQ(scan.records, 2u);
+    EXPECT_EQ(scan.votes, 20u);
+    EXPECT_EQ(scan.clean_end, 2 * record_bytes);
+    EXPECT_TRUE(SameEvents(decoded, clean));
+  }
+  scan = crowd::DecodeWalRecords(body, kItems - 1, decoded);
+  EXPECT_TRUE(scan.torn);
+  EXPECT_EQ(scan.votes, decoded.size());
 }
 
 TEST(VoteWalTest, FailedSyncSealsAndDiscardsUnacknowledgedRecords) {

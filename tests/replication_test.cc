@@ -582,6 +582,79 @@ TEST_F(TransportFaultTest, RedeliveryAndRepollAreIdempotent) {
                      "after redelivery");
 }
 
+TEST_F(TransportFaultTest, FailedCheckpointShipIsReshippedFromItsBytes) {
+  PrimaryRig rig;
+  StartRig(rig, "reship", 100);
+  if (testing::Test::HasFatalFailure()) return;
+  SessionDurability* durability = rig.session->durability_engine();
+  // The first checkpoint's Put fails at its rename. The hook fires after
+  // the WAL reset, right before the checkpoint event ships.
+  bool armed = false;
+  durability->SetPhaseHookForTest([&armed](SessionDurability::Phase phase) {
+    if (phase != SessionDurability::Phase::kWalReset || armed) return;
+    armed = true;
+    ASSERT_TRUE(
+        failpoint::Configure("dqm.repl.rename=count(1):error(EIO)").ok());
+  });
+  IngestAndFlush(rig, 0, 112);
+  ASSERT_TRUE(armed);
+  ReplicationStats stats = rig.replicator->stats();
+  EXPECT_EQ(stats.ship_errors, 1u);
+  EXPECT_EQ(stats.checkpoints_shipped, 0u);
+  // The re-ship comes from the copy the replicator kept, not from the
+  // primary's checkpoint file: with the file gone it still ships.
+  fs::remove(durability->checkpoint_path());
+  IngestAndFlush(rig, 112, 128);
+  stats = rig.replicator->stats();
+  EXPECT_EQ(stats.checkpoints_shipped, 1u);
+  EXPECT_EQ(stats.shipped_generation, 2u);
+  EXPECT_EQ(stats.shipped_votes, 128u);
+  auto shipped = rig.transport->Get(CheckpointArtifactName(2));
+  ASSERT_TRUE(shipped.ok()) << shipped.status().ToString();
+  EXPECT_TRUE(crowd::VerifyCheckpoint(*shipped, "ckpt_2").ok());
+
+  DqmEngine standby_engine;
+  auto applier = StandbyApplier::Open(standby_engine, rig.transport);
+  ASSERT_TRUE(applier.ok()) << applier.status().ToString();
+  EXPECT_EQ((*applier)->applied_votes(), 128u);
+  ExpectPrefixParity(standby_engine, "s", rig.votes, 128, rig.num_items,
+                     "after the re-ship");
+}
+
+TEST(StandbyApplyTest, EachSegmentIsAppliedWithOneCommit) {
+  size_t num_items = 0;
+  std::vector<VoteEvent> votes =
+      GenerateVotes(FamilySpecs().front(), 0x0C0, &num_items);
+  ASSERT_GE(votes.size(), 256u);
+  DqmEngine primary;
+  // Group commits of 64 votes from 16-vote batches: every shipped segment
+  // holds four WAL records.
+  auto session = primary.OpenSession(
+      "s", num_items, std::span<const std::string>(Panel()),
+      DurableOptions(ScratchDir("one_commit_primary"), 64, 0));
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  auto transport = LocalDirTransport::Open(ScratchDir("one_commit_ship"));
+  ASSERT_TRUE(transport.ok()) << transport.status().ToString();
+  std::shared_ptr<ReplicationTransport> shared = std::move(*transport);
+  auto replicator = SessionReplicator::Start(*session, shared);
+  ASSERT_TRUE(replicator.ok()) << replicator.status().ToString();
+  DqmEngine standby_engine;
+  auto applier = StandbyApplier::Open(standby_engine, shared);
+  ASSERT_TRUE(applier.ok()) << applier.status().ToString();
+
+  IngestRange(primary, "s", votes, 0, 256, 16);
+  const uint64_t segments = (*replicator)->stats().segments_shipped;
+  EXPECT_EQ(segments, 4u);
+  telemetry::Counter* batches = telemetry::MetricsRegistry::Global().GetCounter(
+      telemetry::metric_names::kCommitBatchesTotal);
+  const uint64_t batches_before = batches->Value();
+  ASSERT_TRUE((*applier)->Poll().ok());
+  EXPECT_EQ(batches->Value() - batches_before, segments);
+  EXPECT_EQ((*applier)->applied_votes(), 256u);
+  ExpectPrefixParity(standby_engine, "s", votes, 256, num_items,
+                     "four-record segments");
+}
+
 TEST(StandbyFastForwardTest, CaughtUpStandbyCrossesCheckpointsInPlace) {
   PrimaryRig rig;
   StartRig(rig, "ffwd", 64);

@@ -158,7 +158,7 @@ TEST(ResponseLogConcurrentTest, SingleThreadStripedMatchesSerialAppend) {
   for (const VoteEvent& event : events) serial.Append(event);
 
   ResponseLog striped(kItems, RetentionPolicy::kCounts);
-  striped.EnableConcurrentIngest(4, /*maintain_pair_counts=*/true);
+  striped.EnableConcurrentIngest(4);
   EXPECT_TRUE(striped.concurrent_ingest());
   EXPECT_GE(striped.num_stripes(), 1u);
   striped.AppendConcurrent(events);
@@ -185,7 +185,7 @@ TEST(ResponseLogConcurrentTest, StripeShardsUnionEqualsSerialMatrix) {
   ASSERT_NE(serial.compacted(), nullptr);
 
   ResponseLog striped(kItems, RetentionPolicy::kCounts);
-  striped.EnableConcurrentIngest(4, /*maintain_pair_counts=*/true);
+  striped.EnableConcurrentIngest(4);
   striped.AppendConcurrent(events);
   { auto pause = striped.PauseAndReconcile(); }
   // The striped matrix is consumed block-wise; compacted() deliberately
@@ -221,8 +221,8 @@ TEST(ResponseLogConcurrentTest, ManyProducersReconcileToSerialTallies) {
   ResponseLog serial(kItems, RetentionPolicy::kCounts);
   for (const VoteEvent& event : events) serial.Append(event);
 
-  ResponseLog striped(kItems, RetentionPolicy::kCounts);
-  striped.EnableConcurrentIngest(4, /*maintain_pair_counts=*/false);
+  ResponseLog striped(kItems, RetentionPolicy::kCounts, /*pair_counts=*/false);
+  striped.EnableConcurrentIngest(4);
   std::vector<std::thread> producers;
   size_t chunk = events.size() / kProducers;
   for (size_t t = 0; t < kProducers; ++t) {
@@ -252,7 +252,7 @@ TEST(ResponseLogConcurrentTest, ManyProducersReconcileToSerialTallies) {
 
 TEST(ResponseLogConcurrentTest, RetainedBytesCoversStripeShards) {
   ResponseLog striped(256, RetentionPolicy::kCounts);
-  striped.EnableConcurrentIngest(4, /*maintain_pair_counts=*/true);
+  striped.EnableConcurrentIngest(4);
   size_t empty_bytes = striped.RetainedBytes();
   std::vector<VoteEvent> events = StripedTestEvents(256, 3000, 8);
   striped.AppendConcurrent(events);
@@ -266,25 +266,25 @@ TEST(ResponseLogConcurrentDeathTest, OutOfRangeItemAbortsNotDropped) {
   // batch validation they would vanish silently instead of aborting like
   // the serialized Append.
   ResponseLog striped(1000, RetentionPolicy::kCounts);
-  striped.EnableConcurrentIngest(1, /*maintain_pair_counts=*/true);
+  striped.EnableConcurrentIngest(1);
   std::vector<VoteEvent> batch = {{0, 0, 5000, Vote::kDirty}};
   EXPECT_DEATH(striped.AppendConcurrent(batch), "out of range");
 }
 
 TEST(ResponseLogConcurrentDeathTest, SerialAppendAbortsOnceStriped) {
   ResponseLog striped(16, RetentionPolicy::kCounts);
-  striped.EnableConcurrentIngest(2, /*maintain_pair_counts=*/true);
+  striped.EnableConcurrentIngest(2);
   EXPECT_DEATH(striped.Append({0, 0, 0, Vote::kDirty}), "serialized path");
 }
 
 TEST(ResponseLogConcurrentDeathTest, RequiresCountsRetention) {
   ResponseLog full(16, RetentionPolicy::kFullEvents);
-  EXPECT_DEATH(full.EnableConcurrentIngest(2, true), "kCounts");
+  EXPECT_DEATH(full.EnableConcurrentIngest(2), "kCounts");
 }
 
 TEST(ResponseLogConcurrentDeathTest, MatrixBlocksAbortWithoutPairCounts) {
-  ResponseLog striped(16, RetentionPolicy::kCounts);
-  striped.EnableConcurrentIngest(2, /*maintain_pair_counts=*/false);
+  ResponseLog striped(16, RetentionPolicy::kCounts, /*pair_counts=*/false);
+  striped.EnableConcurrentIngest(2);
   std::vector<const CompactedVoteStore*> blocks;
   EXPECT_DEATH(striped.AppendCountMatrixBlocks(blocks), "pair-count");
 }

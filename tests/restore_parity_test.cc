@@ -3,9 +3,9 @@
 // O(#pairs + #items)) must reproduce the live pipeline exactly — the
 // compacted (worker, item) columns slot for slot, every tally, NOMINAL /
 // VOTING, the task/worker bounds and every estimate — on each checkpoint
-// shape the engine produces: serialized kPairs, striped kPairs (a panel
-// with EM-VOTING keeps per-stripe pair shards) and striped kTallies
-// (tally-only panels). The restored pipeline must also keep ingesting like
+// shape the engine produces: serialized and striped kPairs (a panel with
+// EM-VOTING keeps the pair counts, per-stripe shards when striped) and
+// serialized and striped kTallies (tally-only panels keep no pairs). The restored pipeline must also keep ingesting like
 // the live one. Around it: an empty checkpoint is a no-op, a non-empty
 // target is refused, and panels whose state is not in a checkpoint
 // (SWITCH, full-event retention) get FailedPrecondition.
@@ -53,6 +53,8 @@ const Shape kShapes[] = {
     {"serialized_pairs", &kPairPanel, 0, CheckpointData::Variant::kPairs},
     {"striped_pairs", &kPairPanel, 4, CheckpointData::Variant::kPairs},
     {"striped_tallies", &kTallyPanel, 4, CheckpointData::Variant::kTallies},
+    {"serialized_tallies", &kTallyPanel, 0,
+     CheckpointData::Variant::kTallies},
 };
 
 std::vector<std::string> FamilySpecs() {

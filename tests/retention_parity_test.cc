@@ -190,7 +190,7 @@ TEST(RetentionParityTest, StripedRetainedBytesCountsFixedOverhead) {
   // gauge the engine exports was under-reporting every striped session.
   ResponseLog serial(256, RetentionPolicy::kCounts);
   ResponseLog striped(256, RetentionPolicy::kCounts);
-  striped.EnableConcurrentIngest(4, /*maintain_pair_counts=*/true);
+  striped.EnableConcurrentIngest(4);
   EXPECT_GT(striped.RetainedBytes(), serial.RetainedBytes());
 
   // And the gap persists (shards counted too) once votes flow.
